@@ -1,12 +1,13 @@
-// The kernel's one parallelism knob (docs/SCALING.md "Threading").
+// The kernel's one parallelism knob (docs/SCALING.md "Sharding" and
+// "Threading").
 //
-// ParallelConfig collapses what used to be three separate switches —
-// TableIConfig.shards, TableIConfig.shard_epoch_s and
-// Simulator::enable_sharding(K) — into a single value accepted by
-// Simulator::enable_parallel, TableIConfig::parallel and the spec's
-// `engine.parallel` block. Every combination is a pure performance
-// setting: results are byte-identical at any (shards, threads) pair,
-// which the shard-equivalence suite and the PR 4 golden fixture enforce.
+// ParallelConfig is the single value behind TableIConfig::parallel and
+// the spec's `engine.parallel` block. `shards` and `epoch_s` shape the
+// channel's strip partition (phy::ShardPlan); `threads` sizes the
+// executor the Simulator hands the channel's position and receive-power
+// passes. Every combination is a pure performance setting: results are
+// byte-identical at any (shards, threads) pair, which the
+// shard-equivalence suite and the golden kernel fixture enforce.
 #ifndef CAVENET_NETSIM_PARALLEL_H
 #define CAVENET_NETSIM_PARALLEL_H
 
@@ -15,21 +16,21 @@
 namespace cavenet::netsim {
 
 struct ParallelConfig {
-  /// Spatial shards for the single-run kernel: the world is partitioned
-  /// into up to this many strips, each with its own slab-pooled
-  /// scheduler and channel snapshot (docs/SCALING.md "Sharding").
+  /// Spatial strips for the channel's candidate search: the world is
+  /// partitioned into up to this many strips, each with its own position
+  /// snapshot and grid (docs/SCALING.md "Sharding"). The event queue
+  /// stays one queue at any value.
   int shards = 1;
-  /// Executor lanes the kernel may use for epoch-batched precompute
-  /// (position snapshots, shard rebuckets, receive-power evaluation);
+  /// Executor lanes for the channel's referentially transparent passes
+  /// (position refreshes, strip rebuckets, receive-power evaluation);
   /// <= 0 resolves to the hardware thread count. Event dispatch commits
   /// strictly in (time, seq) order regardless, so the thread count never
   /// changes a single byte of output — only the wall clock.
   int threads = 1;
-  /// Epoch period in simulation seconds: shard membership rebuckets and
-  /// the dispatcher's parallel barrier tasks run on this cadence.
+  /// Strip rebucket period in simulation seconds: strip membership is
+  /// rebuilt from fresh positions once this much simulation time has
+  /// passed since the last rebucket.
   double epoch_s = 1.0;
-
-  bool enabled() const noexcept { return shards > 1 || threads != 1; }
 
   /// Throws std::invalid_argument on out-of-range values; returns *this
   /// so call sites can validate inline.

@@ -11,15 +11,12 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
-#include "netsim/parallel.h"
 #include "netsim/scheduler.h"
 #include "util/executor.h"
 #include "util/rng.h"
@@ -58,8 +55,8 @@ class Simulator {
     if (delay < SimTime::zero()) {
       throw std::invalid_argument("negative delay: " + delay.to_string());
     }
-    return shard(current_shard_)
-        .schedule_at(now_ + delay, std::forward<F>(action), component);
+    return scheduler_.schedule_at(now_ + delay, std::forward<F>(action),
+                                  component);
   }
   /// Schedules at an absolute time (>= now).
   template <typename F>
@@ -74,53 +71,19 @@ class Simulator {
       throw std::invalid_argument("scheduling into the past: " +
                                   at.to_string());
     }
-    return shard(current_shard_)
-        .schedule_at(at, std::forward<F>(action), component);
+    return scheduler_.schedule_at(at, std::forward<F>(action), component);
   }
 
-  /// Schedules onto an explicit shard's queue instead of the current
-  /// event's (events normally inherit the shard they were scheduled
-  /// from). Cross-shard deliveries — the channel handing a packet to a
-  /// receiver that lives in another region — go through here, making them
-  /// time-stamped inter-shard messages. With sharding disabled the only
-  /// valid shard is 0 and this is exactly schedule().
-  template <typename F>
-    requires std::is_invocable_v<std::decay_t<F>&>
-  EventId schedule_on(std::uint32_t shard_index, SimTime delay,
-                      std::string_view component, F&& action) {
-    if (delay < SimTime::zero()) {
-      throw std::invalid_argument("negative delay: " + delay.to_string());
-    }
-    if (shard_index >= shard_count()) {
-      throw std::out_of_range("schedule_on: shard out of range");
-    }
-    return shard(shard_index)
-        .schedule_at(now_ + delay, std::forward<F>(action), component);
-  }
-
-  /// Installs the kernel's parallelism plan (see ParallelConfig). With
-  /// shards > 1 the event queue splits into independent slab-pooled
-  /// Schedulers merged by one dispatcher on the global (time, seq) key;
-  /// sequence numbers come from one shared counter, so the merged
-  /// dispatch order is bit-identical to the single-queue kernel at any
-  /// shard count — sharding partitions *state* (queues, slabs, and the
-  /// channel's spatial snapshot), never the event order. With
-  /// threads > 1 a persistent ThreadPoolExecutor becomes available via
-  /// executor(); the dispatcher advances in conservative epochs
-  /// (epoch_s) and hands registered epoch tasks the barrier time so
-  /// shard precompute (position snapshots, rebuckets, receive-power
-  /// passes) runs on every lane while event dispatch itself commits
-  /// strictly in (time, seq) order — threads therefore never change a
-  /// byte of output. Callers enabling threads > 1 must guarantee the
-  /// work they hand the executor is thread-safe (mobility position
+  /// Provisions `threads` executor lanes for the kernel's referentially
+  /// transparent passes (the channel's position refreshes and
+  /// receive-power evaluation); <= 0 resolves to the hardware thread
+  /// count. Event dispatch stays one queue committed strictly in
+  /// (time, seq) order, so the lane count never changes a byte of output
+  /// — only the wall clock. Callers enabling threads > 1 must guarantee
+  /// the work they hand the executor is thread-safe (mobility position
   /// lookups in particular). Must be called before any event is
-  /// scheduled; {1, 1, *} is a no-op.
-  void enable_parallel(const ParallelConfig& config);
-
-  /// Legacy alias for enable_parallel({.shards = K}): splits the queue
-  /// only, keeps dispatch single-threaded. Must be called before any
-  /// event is scheduled; shards == 1 is a no-op.
-  void enable_sharding(std::uint32_t shards);
+  /// scheduled, at most once.
+  void enable_parallel(int threads);
 
   /// The execution pool enable_parallel provisioned (an inline,
   /// calling-thread executor until threads > 1 is enabled or an
@@ -136,24 +99,6 @@ class Simulator {
     executor_ = executor != nullptr ? executor : &inline_executor_;
   }
 
-  /// Registers a task the dispatcher runs at every epoch barrier (the
-  /// epoch_s cadence from enable_parallel), receiving the barrier's
-  /// simulation time. Tasks run before the first event at or past the
-  /// barrier dispatches and must not schedule events or mutate
-  /// dispatch-visible state — they exist for referentially transparent
-  /// precompute (the channel's parallel shard rebucket).
-  void register_epoch_task(std::function<void(SimTime)> task) {
-    epoch_tasks_.push_back(std::move(task));
-  }
-  /// Epoch barriers crossed so far (the shard.epoch_barriers counter).
-  std::uint64_t epoch_barriers() const noexcept { return epoch_barriers_; }
-
-  std::uint32_t shard_count() const noexcept {
-    return static_cast<std::uint32_t>(extra_shards_.size()) + 1;
-  }
-  /// Shard of the event being dispatched (0 when idle or unsharded).
-  std::uint32_t current_shard() const noexcept { return current_shard_; }
-
   /// Runs until the event queue drains or stop() is called.
   void run();
   /// Runs events with time <= until, then sets the clock to `until`.
@@ -167,38 +112,20 @@ class Simulator {
   Rng make_rng(std::uint64_t stream) const { return Rng(seed_, stream); }
 
   std::uint64_t events_dispatched() const noexcept {
-    std::uint64_t total = scheduler_.dispatched_count();
-    for (const auto& s : extra_shards_) total += s->dispatched_count();
-    return total;
+    return scheduler_.dispatched_count();
   }
   /// Pending events (including cancelled ones not yet dropped).
-  std::size_t queue_depth() const noexcept {
-    std::size_t total = scheduler_.size();
-    for (const auto& s : extra_shards_) total += s->size();
-    return total;
-  }
+  std::size_t queue_depth() const noexcept { return scheduler_.size(); }
 
   /// Attaches (nullptr detaches) a kernel profiler; see Scheduler.
   void set_profiler(obs::KernelProfiler* profiler) noexcept {
-    profiler_ = profiler;
     scheduler_.set_profiler(profiler);
-    for (auto& s : extra_shards_) s->set_profiler(profiler);
   }
 
   /// Binds the scheduler pool's sched.pool.* counters; see Scheduler.
-  /// All shards bind the same counter names, so the published values are
-  /// pool totals.
   void bind_kernel_stats(obs::StatsRegistry& registry) {
     scheduler_.bind_stats(registry);
-    for (auto& s : extra_shards_) s->bind_stats(registry);
   }
-
-  /// Binds the "shard.epoch_barriers" counter (live from here on;
-  /// barriers crossed before binding are re-published). Opt-in and
-  /// separate from bind_kernel_stats for the same reason as the
-  /// channel's bind_shard_stats: the scenario runners do not bind it,
-  /// so stats snapshots stay byte-identical across parallel settings.
-  void bind_parallel_stats(obs::StatsRegistry& registry);
 
   /// Publishes the kernel-owned thread pool's lifetime activity into a
   /// registry: "exec.batches" / "exec.tasks" / "exec.chunks" counters
@@ -219,42 +146,17 @@ class Simulator {
 
  private:
   void heartbeat();
-  /// Runs every epoch barrier with time <= at (tasks + counter).
-  void run_epoch_barriers(SimTime at);
-  bool epoch_due(SimTime at) const noexcept {
-    return !epoch_tasks_.empty() && epoch_interval_ > SimTime::zero() &&
-           at >= next_epoch_;
-  }
-
-  Scheduler& shard(std::uint32_t index) noexcept {
-    return index == 0 ? scheduler_ : *extra_shards_[index - 1];
-  }
-  /// Index of the shard holding the globally earliest (time, seq) key;
-  /// shard_count() when every queue is empty.
-  std::uint32_t pick_next_shard(SimTime& at) const noexcept;
 
   Scheduler scheduler_;
-  /// Shards 1..k-1 (shard 0 is scheduler_). unique_ptr because Scheduler
-  /// is pinned (slab chunks + self-referential seq pointer).
-  std::vector<std::unique_ptr<Scheduler>> extra_shards_;
-  /// Shared insertion-sequence counter once sharding is enabled.
-  std::uint64_t shared_seq_ = 0;
-  std::uint32_t current_shard_ = 0;
-  obs::KernelProfiler* profiler_ = nullptr;
   SimTime now_ = SimTime::zero();
   bool stopped_ = false;
   std::uint64_t seed_;
 
-  // --- parallelism (enable_parallel) ---
+  // --- executor lanes (enable_parallel) ---
   bool parallel_enabled_ = false;
   exec::InlineExecutor inline_executor_;
   std::unique_ptr<exec::ThreadPoolExecutor> pool_;
   exec::Executor* executor_ = &inline_executor_;
-  SimTime epoch_interval_ = SimTime::zero();
-  SimTime next_epoch_ = SimTime::zero();
-  std::vector<std::function<void(SimTime)>> epoch_tasks_;
-  std::uint64_t epoch_barriers_ = 0;
-  obs::Counter obs_epoch_barriers_;  ///< shard.epoch_barriers
 
   obs::TraceSink* trace_sink_ = nullptr;
   SimTime heartbeat_interval_ = SimTime::zero();

@@ -75,7 +75,6 @@ Channel::Attachment Channel::attach(WifiPhy* phy) {
     min_cs_valid_ = true;
   }
   radius_cache_.reset();
-  snapshot_valid_ = false;
   // Membership churn: strip assignment must be rebuilt before use.
   shards_.invalidate();
   return Attachment(this, slot);
@@ -101,7 +100,6 @@ void Channel::detach_slot(std::uint32_t slot) noexcept {
     min_cs_valid_ = true;
   }
   radius_cache_.reset();
-  snapshot_valid_ = false;
   shards_.invalidate();
 }
 
@@ -112,11 +110,9 @@ void Channel::bind_stats(obs::StatsRegistry& registry) {
 }
 
 void Channel::bind_shard_stats(obs::StatsRegistry& registry) {
-  obs_shard_msgs_ = registry.counter("shard.msgs");
   obs_shard_epochs_ = registry.counter("shard.lbts_epochs");
   obs_shard_refresh_ = registry.counter("shard.refresh.nodes");
   // Re-publish activity from before the registry was attached.
-  obs_shard_msgs_.inc(diag_cross_msgs_);
   obs_shard_epochs_.inc(shards_.epochs());
   obs_shard_refresh_.inc(diag_refreshed_);
 }
@@ -136,41 +132,28 @@ void Channel::configure_shards(const ShardPlan& plan) {
   }
   plan_.reset();
   strips_ = 0;
-  strips_resolved_ = false;
-  shards_.invalidate();
   // The kLinear reference deliberately never shards: it exists to be the
-  // brute-force baseline the sharded/grid paths are compared against.
+  // brute-force baseline the grid paths are compared against.
   if (plan.shards <= 1 || index_ != ChannelIndex::kGrid) return;
   plan_ = plan;
-  if (!epoch_task_registered_) {
-    sim_->register_epoch_task([this](SimTime at) { epoch_prefetch(at); });
-    epoch_task_registered_ = true;
-  }
 }
 
-void Channel::epoch_prefetch(SimTime at) {
-  // Dormant until the first radius-bounded transmit resolves the strip
-  // count; a world too narrow to shard leaves this a no-op forever.
-  if (!plan_ || !strips_resolved_ || strips_ <= 1) return;
-  if (shards_.needs_rebucket(at)) rebucket_shards(at);
-}
-
-std::uint32_t Channel::resolve_strips(double radius) {
-  if (strips_resolved_) return strips_;
-  strips_resolved_ = true;
+std::uint32_t Channel::resolve_strips(const std::optional<double>& radius) {
+  if (strips_ != 0) return strips_;
+  const ShardPlan plan = plan_.value_or(ShardPlan{});
   strips_ = 1;
-  const double extent = plan_->x_max - plan_->x_min;
-  if (!(extent > 0.0) || !(radius > 0.0)) return strips_;
-  // A strip narrower than the interaction radius buys nothing — every
-  // query would touch several strips. Scenarios whose extent holds fewer
-  // than two radius-wide strips are too small to shard and fall back to
-  // one (docs/SCALING.md "Sharding").
-  const double cap = std::floor(extent / radius);
-  const double want = std::min(static_cast<double>(plan_->shards), cap);
-  if (want <= 1.0) return strips_;
-  strips_ = static_cast<std::uint32_t>(want);
-  shards_.configure(strips_, plan_->x_min, plan_->x_max, plan_->epoch_s,
-                    plan_->max_speed_mps);
+  const double extent = plan.x_max - plan.x_min;
+  if (plan_ && radius && extent > 0.0 && *radius > 0.0) {
+    // A strip narrower than the interaction radius buys nothing — every
+    // query would touch several strips. Scenarios whose extent holds
+    // fewer than two radius-wide strips are too small to shard and stay
+    // one strip (docs/SCALING.md "Sharding").
+    const double cap = std::floor(extent / *radius);
+    const double want = std::min(static_cast<double>(plan.shards), cap);
+    if (want > 1.0) strips_ = static_cast<std::uint32_t>(want);
+  }
+  shards_.configure(strips_, plan.x_min, plan.x_max, plan.epoch_s,
+                    plan.max_speed_mps);
   shard_snapshot_time_.assign(strips_, SimTime::zero());
   shard_snapshot_valid_.assign(strips_, 0);
   shard_grid_built_.assign(strips_, 0);
@@ -181,38 +164,31 @@ std::uint32_t Channel::resolve_strips(double radius) {
 void Channel::rebucket_shards(SimTime now) {
   // One full O(radios) position pass per epoch; between epochs the
   // per-transmit cost is the touched strips only.
-  eval_all_positions(now);
+  live_slots_.clear();
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (live_[slot]) live_slots_.push_back(slot);
+  }
+  eval_member_positions(now, live_slots_);
   shards_.rebucket(now, positions_, live_);
   for (std::uint32_t s = 0; s < strips_; ++s) {
     shard_snapshot_time_[s] = now;
     shard_snapshot_valid_[s] = 1;
     shard_grid_built_[s] = 0;
   }
-  // The global snapshot is fresh too (every live position was just
-  // evaluated at `now`), so an interleaved unsharded transmit can reuse
-  // it.
-  snapshot_time_ = now;
-  snapshot_valid_ = true;
-  grid_built_ = false;
   obs_shard_epochs_.inc();
   obs_shard_refresh_.inc(live_count_);
   diag_refreshed_ += live_count_;
 }
 
-void Channel::refresh_strip(std::uint32_t s, SimTime now, double radius) {
+void Channel::refresh_strip(std::uint32_t s, SimTime now) {
+  if (shard_snapshot_valid_[s] && shard_snapshot_time_[s] == now) return;
   const std::vector<std::uint32_t>& members = shards_.members(s);
-  if (!shard_snapshot_valid_[s] || shard_snapshot_time_[s] != now) {
-    eval_member_positions(now, members);
-    shard_snapshot_time_[s] = now;
-    shard_snapshot_valid_[s] = 1;
-    shard_grid_built_[s] = 0;
-    obs_shard_refresh_.inc(members.size());
-    diag_refreshed_ += members.size();
-  }
-  if (!shard_grid_built_[s]) {
-    shard_grids_[s].rebuild_members(positions_, members, radius);
-    shard_grid_built_[s] = 1;
-  }
+  eval_member_positions(now, members);
+  shard_snapshot_time_[s] = now;
+  shard_snapshot_valid_[s] = 1;
+  shard_grid_built_[s] = 0;
+  obs_shard_refresh_.inc(members.size());
+  diag_refreshed_ += members.size();
 }
 
 std::optional<double> Channel::interaction_radius(double tx_power_w) {
@@ -224,52 +200,6 @@ std::optional<double> Channel::interaction_radius(double tx_power_w) {
       model_->max_range_m(tx_power_w, min_cs_threshold_w_);
   radius_cache_ = {tx_power_w, radius};
   return radius;
-}
-
-void Channel::eval_all_positions(SimTime now) {
-  if (batch_count_ == 0) {
-    // Pure per-radio dispatch, fanned across the kernel's executor lanes
-    // (disjoint writes, time-pure reads).
-    sim_->executor().parallel_for(slots_.size(), kRefreshGrain,
-                                  [&](std::size_t i) {
-                                    if (live_[i]) {
-                                      positions_[i] =
-                                          slots_[i]->position_at(now);
-                                    }
-                                  });
-    return;
-  }
-  // Batched dispatch: runs of consecutive live slots sharing a provider
-  // (attach order == node order in the scenario runners, so this is one
-  // run per provider in practice) are served with one positions_at call
-  // straight into the snapshot, kRefreshGrain members at a time. The
-  // values are the ones per-radio dispatch would have produced — only
-  // the call count changes.
-  const std::size_t n = slots_.size();
-  std::array<std::uint32_t, kRefreshGrain> members;
-  std::size_t i = 0;
-  while (i < n) {
-    if (!live_[i]) {
-      ++i;
-      continue;
-    }
-    const netsim::BatchMobilityProvider* provider = batch_provider_[i];
-    if (provider == nullptr) {
-      positions_[i] = slots_[i]->position_at(now);
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < n && j - i < kRefreshGrain && live_[j] &&
-           batch_provider_[j] == provider) {
-      ++j;
-    }
-    for (std::size_t k = i; k < j; ++k) members[k - i] = batch_member_[k];
-    provider->positions_at(
-        now, std::span<const std::uint32_t>(members.data(), j - i),
-        std::span<Vec2>(positions_.data() + i, j - i));
-    i = j;
-  }
 }
 
 void Channel::eval_member_positions(
@@ -312,20 +242,6 @@ void Channel::eval_member_positions(
   }
 }
 
-void Channel::refresh_snapshot(const std::optional<double>& radius) {
-  const SimTime now = sim_->now();
-  if (!snapshot_valid_ || snapshot_time_ != now) {
-    eval_all_positions(now);
-    snapshot_time_ = now;
-    snapshot_valid_ = true;
-    grid_built_ = false;
-  }
-  if (radius && index_ == ChannelIndex::kGrid && !grid_built_) {
-    grid_.rebuild(positions_, live_, *radius);
-    grid_built_ = true;
-  }
-}
-
 void Channel::transmit(const WifiPhy& sender, const netsim::Packet& packet,
                        SimTime duration, double tx_power_w) {
   obs_tx_.inc();
@@ -333,37 +249,29 @@ void Channel::transmit(const WifiPhy& sender, const netsim::Packet& packet,
   const std::uint32_t sender_slot = sender.channel_slot_;
   const SimTime now = sim_->now();
 
-  // Sharded fast path: only the strips the interaction radius (plus the
-  // drift margin) can reach get their positions refreshed, instead of
-  // the whole snapshot. Resolved lazily because the strip width depends
-  // on the radius.
-  const bool sharded = plan_.has_value() && radius.has_value() &&
-                       resolve_strips(*radius) > 1;
-
-  Vec2 tx_pos{};
-  std::uint32_t tx_strip = 0;
-  if (sharded) {
-    if (shards_.needs_rebucket(now)) rebucket_shards(now);
-    // The sender's position is a pure function of `now`; evaluating it
-    // directly is bit-identical to reading the snapshot the unsharded
-    // path would have refreshed.
-    tx_pos = sender.position();
-    tx_strip = shards_.strip_of_slot(sender_slot);
-  } else {
-    refresh_snapshot(radius);
-    tx_pos = positions_[sender_slot];
-  }
+  // Only the strips the interaction radius (plus the drift margin) can
+  // reach get their positions refreshed. Resolved lazily because the
+  // strip width depends on the radius; without a plan this is one strip
+  // holding every live radio.
+  const std::uint32_t strips = resolve_strips(radius);
+  if (shards_.needs_rebucket(now)) rebucket_shards(now);
+  // The sender's own strip always lies inside the strip range queried
+  // below (its drift since the rebucket is within the margin), so
+  // refreshing it first costs nothing and yields the sender's position.
+  refresh_strip(shards_.strip_of_slot(sender_slot), now);
+  const Vec2 tx_pos = positions_[sender_slot];
   std::uint64_t evaluated = 0;
 
   // Shared per-candidate step: exact distance cull (only when the model
   // bounds range), then the receive-power evaluation and the receiver's
   // own carrier-sense cull, exactly as the full scan always did. The
-  // index (linear / grid / sharded strips) only changes how candidates
-  // are found — a conservative superset either way — never which ones
-  // survive this exact test, so counters and deliveries are identical
-  // across all three. When `pre` is set the distance and power come from
-  // the parallel phase-1 pass (same arithmetic, same inputs — identical
-  // doubles); the commit below still runs serially in attach order.
+  // index (linear member walk / per-strip grids, any strip count) only
+  // changes how candidates are found — a conservative superset either
+  // way — never which ones survive this exact test, so counters and
+  // deliveries are identical across all of them. When `pre` is set the
+  // distance and power come from the parallel phase-1 pass (same
+  // arithmetic, same inputs — identical doubles); the commit below still
+  // runs serially in attach order.
   const auto consider = [&](std::uint32_t slot, const CandidateEval* pre) {
     const Vec2 rx_pos = positions_[slot];
     const double d = pre != nullptr ? pre->distance : distance(tx_pos, rx_pos);
@@ -385,49 +293,40 @@ void Channel::transmit(const WifiPhy& sender, const netsim::Packet& packet,
     };
     static_assert(sizeof(deliver) <= netsim::detail::InlineAction::kCapacity,
                   "broadcast delivery must stay allocation-free");
-    if (sharded) {
-      // Deliveries land on the receiver's shard queue: a receiver in
-      // another strip makes this a time-stamped inter-shard message.
-      // Routing never changes dispatch order (the shared sequence
-      // counter fixes it globally), only which slab pool holds the
-      // event.
-      const std::uint32_t rx_strip = shards_.strip_of_slot(slot);
-      if (rx_strip != tx_strip) {
-        obs_shard_msgs_.inc();
-        ++diag_cross_msgs_;
-      }
-      const std::uint32_t rx_shard =
-          rx_strip < sim_->shard_count() ? rx_strip : 0;
-      sim_->schedule_on(rx_shard, SimTime::from_seconds(delay_s), "chan",
-                        std::move(deliver));
-    } else {
-      sim_->schedule(SimTime::from_seconds(delay_s), "chan",
-                     std::move(deliver));
-    }
+    sim_->schedule(SimTime::from_seconds(delay_s), "chan",
+                   std::move(deliver));
   };
 
   // Candidate collection: a conservative superset of the in-range
-  // receivers, in ascending slot (attach) order.
-  bool candidates_in_scratch = false;
-  if (sharded) {
+  // receivers, in ascending slot (attach) order. A bounded radius on a
+  // grid channel queries each touched strip's grid; kLinear and unbounded
+  // models walk every member instead.
+  std::uint32_t s0 = 0;
+  std::uint32_t s1 = strips - 1;
+  if (radius && strips > 1) {
     const double reach = *radius + shards_.margin_at(now);
-    const std::uint32_t s0 = shards_.strip_of_x(tx_pos.x - reach);
-    const std::uint32_t s1 = shards_.strip_of_x(tx_pos.x + reach);
-    scratch_.clear();
-    for (std::uint32_t s = s0; s <= s1; ++s) {
-      refresh_strip(s, now, *radius);
-      shard_grids_[s].query(tx_pos, *radius, scratch_);
-    }
-    // Each strip's query results are ascending; restore the global
-    // attach order across strips so delivery scheduling matches the
-    // unsharded kernel byte for byte.
-    if (s0 != s1) std::sort(scratch_.begin(), scratch_.end());
-    candidates_in_scratch = true;
-  } else if (radius && index_ == ChannelIndex::kGrid) {
-    scratch_.clear();
-    grid_.query(tx_pos, *radius, scratch_);
-    candidates_in_scratch = true;
+    s0 = shards_.strip_of_x(tx_pos.x - reach);
+    s1 = shards_.strip_of_x(tx_pos.x + reach);
   }
+  const bool use_grid = radius && index_ == ChannelIndex::kGrid;
+  scratch_.clear();
+  for (std::uint32_t s = s0; s <= s1; ++s) {
+    refresh_strip(s, now);
+    const std::vector<std::uint32_t>& members = shards_.members(s);
+    if (!use_grid) {
+      scratch_.insert(scratch_.end(), members.begin(), members.end());
+      continue;
+    }
+    if (!shard_grid_built_[s]) {
+      shard_grids_[s].rebuild_members(positions_, members, *radius);
+      shard_grid_built_[s] = 1;
+    }
+    shard_grids_[s].query(tx_pos, *radius, scratch_);
+  }
+  // Each strip's candidates are ascending; restore the global attach
+  // order across strips so delivery scheduling is the same at any strip
+  // count, byte for byte.
+  if (s0 != s1) std::sort(scratch_.begin(), scratch_.end());
 
   // Two-phase parallel receive-power evaluation (docs/SCALING.md
   // "Threading"): phase 1 computes every candidate's (distance, power)
@@ -435,19 +334,9 @@ void Channel::transmit(const WifiPhy& sender, const netsim::Packet& packet,
   // commit below reads the results in attach order. Only pure models
   // qualify (a stochastic model's RNG draws must stay serial, in
   // candidate order).
-  const bool parallel_eval =
-      radius.has_value() && sim_->threads() > 1 && model_->pure() &&
-      (candidates_in_scratch ? scratch_.size() : live_count_) >=
-          kParallelEvalMin;
-  if (parallel_eval && !candidates_in_scratch) {
-    // Linear scan: materialize the live slots so both phases walk the
-    // exact candidate order the serial loop uses.
-    scratch_.clear();
-    for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-      if (live_[slot]) scratch_.push_back(slot);
-    }
-    candidates_in_scratch = true;
-  }
+  const bool parallel_eval = radius.has_value() && sim_->threads() > 1 &&
+                             model_->pure() &&
+                             scratch_.size() >= kParallelEvalMin;
   if (parallel_eval) {
     eval_scratch_.resize(scratch_.size());
     sim_->executor().parallel_for(
@@ -467,16 +356,10 @@ void Channel::transmit(const WifiPhy& sender, const netsim::Packet& packet,
         });
   }
 
-  if (candidates_in_scratch) {
-    for (std::size_t i = 0; i < scratch_.size(); ++i) {
-      const std::uint32_t slot = scratch_[i];
-      if (slot == sender_slot) continue;
-      consider(slot, parallel_eval ? &eval_scratch_[i] : nullptr);
-    }
-  } else {
-    for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-      if (live_[slot] && slot != sender_slot) consider(slot, nullptr);
-    }
+  for (std::size_t i = 0; i < scratch_.size(); ++i) {
+    const std::uint32_t slot = scratch_[i];
+    if (slot == sender_slot) continue;
+    consider(slot, parallel_eval ? &eval_scratch_[i] : nullptr);
   }
 
   obs_evaluated_.inc(evaluated);

@@ -2,15 +2,18 @@
 // radios that can interact with it, with per-link propagation loss and
 // speed-of-light delay.
 //
-// Scaling design (docs/SCALING.md): when the propagation model can bound
-// its interaction range (PropagationModel::max_range_m), the channel
-// keeps a per-timestamp snapshot of every radio's position and a uniform
-// grid over that snapshot, and a transmission only evaluates receive
-// power for radios within the max-interaction radius. Receivers beyond
-// it are provably below every radio's carrier-sense threshold, so the
-// grid path is bitwise-identical to a full scan — only cheaper. Models
-// that cannot bound range (shadowing, fading) fall back to evaluating
-// every attached radio, exactly as before.
+// Scaling design (docs/SCALING.md): the channel partitions the world into
+// x-strips (one strip unless a ShardPlan asks for more and the trace can
+// afford them). Each strip keeps a per-timestamp snapshot of its members'
+// positions and, when the propagation model can bound its interaction
+// range (PropagationModel::max_range_m), a uniform grid over that
+// snapshot; a transmission refreshes only the strips its radius can reach
+// and only evaluates receive power for radios within the max-interaction
+// radius. Receivers beyond it are provably below every radio's
+// carrier-sense threshold, so the grid path is bitwise-identical to a
+// full scan — only cheaper. Models that cannot bound range (shadowing,
+// fading) and the kLinear reference walk every member of the strip
+// instead of querying its grid.
 #ifndef CAVENET_PHY_CHANNEL_H
 #define CAVENET_PHY_CHANNEL_H
 
@@ -43,15 +46,15 @@ enum class ChannelIndex { kGrid, kLinear };
 /// O(radios/shards). `max_speed_mps` must be a true bound on every
 /// radio's speed for the whole run — the scenario layer certifies it
 /// from the mobility trace and refuses to shard traces with mid-run
-/// teleports; ShardMap re-verifies it every epoch and throws on
-/// violation. Results are bitwise-identical to the unsharded kernel: the
-/// candidate superset changes, the evaluated set and event order never
-/// do.
+/// teleports; with more than one strip, ShardMap re-verifies it every
+/// epoch and throws on violation. Results are bitwise-identical at any
+/// strip count: the candidate superset changes, the evaluated set and
+/// event order never do.
 struct ShardPlan {
   std::uint32_t shards = 1;
   double x_min = 0.0;
   double x_max = 0.0;
-  /// Membership rebucket period in simulation seconds (the LBTS epoch).
+  /// Membership rebucket period in simulation seconds.
   double epoch_s = 1.0;
   double max_speed_mps = 0.0;
 };
@@ -103,50 +106,43 @@ class Channel {
   /// attached radio that can interact with it (each gets an independent
   /// copy).
   ///
-  /// Cost per call: with a range-bounded model, O(radios) position
-  /// evaluations once per distinct simulation timestamp (the snapshot)
-  /// plus O(neighbours within the max-interaction radius) receive-power
-  /// evaluations and events; the kLinear fallback and unbounded models
-  /// pay O(radios) per call (every radio distance- or power-evaluated),
-  /// though events stay O(neighbours) either way.
+  /// Cost per call: with a range-bounded model, O(members of the touched
+  /// strips) position evaluations once per distinct simulation timestamp
+  /// (the strip snapshots) plus O(neighbours within the max-interaction
+  /// radius) receive-power evaluations and events; the kLinear fallback
+  /// and unbounded models pay O(radios) per call (every radio distance-
+  /// or power-evaluated), though events stay O(neighbours) either way.
   void transmit(const WifiPhy& sender, const netsim::Packet& packet,
                 SimTime duration, double tx_power_w);
 
-  /// Drops the cached per-timestamp position snapshot. Only needed by
-  /// callers that mutate a mobility model's position out-of-band at the
-  /// current timestamp (test harnesses teleporting nodes mid-event);
-  /// positions that are pure functions of simulation time never need it.
+  /// Drops the cached per-timestamp strip snapshots and membership. Only
+  /// needed by callers that mutate a mobility model's position out-of-band
+  /// at the current timestamp (test harnesses teleporting nodes
+  /// mid-event); positions that are pure functions of simulation time
+  /// never need it.
   void invalidate_positions() noexcept {
-    snapshot_valid_ = false;
     shards_.invalidate();
     for (auto& v : shard_snapshot_valid_) v = 0;
   }
 
   /// Installs a spatial sharding plan (see ShardPlan). Call before the
-  /// run; plan.shards == 1 keeps the channel unsharded. The effective
-  /// strip count is resolved lazily against the interaction radius —
-  /// a world narrower than `shards` strips of one radius falls back to
-  /// fewer strips (possibly one). Requires a grid-indexed channel; the
-  /// kLinear reference and unbounded models simply never shard.
-  ///
-  /// Also registers the channel's epoch-barrier prefetch with the
-  /// simulator: when the kernel runs under enable_parallel, shard
-  /// membership rebuckets happen at the dispatcher's epoch barriers (on
-  /// every executor lane) instead of inside the first transmit past the
-  /// epoch — referentially transparent precompute, so outputs are
-  /// unchanged at any thread count.
+  /// run; without a plan (or with plan.shards == 1) the channel runs as
+  /// one strip. The effective strip count is resolved lazily against the
+  /// interaction radius — a world narrower than `shards` strips of one
+  /// radius falls back to fewer strips (possibly one). Requires a
+  /// grid-indexed channel; the kLinear reference and unbounded models
+  /// always run as one strip.
   void configure_shards(const ShardPlan& plan);
 
   /// Observed sharding state, for tests and the bench harness.
   struct ShardDiagnostics {
-    /// Resolved strip count (1 = sharding dormant; 0 = not yet resolved).
+    /// Resolved strip count (0 = not yet resolved by a transmit).
     std::uint32_t strips = 0;
-    std::uint64_t epochs = 0;       ///< membership rebuckets (LBTS epochs)
-    std::uint64_t cross_msgs = 0;   ///< cross-shard deliveries
-    std::uint64_t refreshed = 0;    ///< per-strip position refreshes (nodes)
+    std::uint64_t epochs = 0;     ///< membership rebuckets
+    std::uint64_t refreshed = 0;  ///< per-strip position refreshes (nodes)
   };
   ShardDiagnostics shard_diagnostics() const noexcept {
-    return {strips_, shards_.epochs(), diag_cross_msgs_, diag_refreshed_};
+    return {strips_, shards_.epochs(), diag_refreshed_};
   }
 
   PropagationModel& propagation() noexcept { return *model_; }
@@ -161,11 +157,11 @@ class Channel {
   /// which ones are evaluated.
   void bind_stats(obs::StatsRegistry& registry);
 
-  /// Binds the sharding counters: "shard.msgs" cross-shard deliveries,
-  /// "shard.lbts_epochs" membership rebuckets, "shard.refresh.nodes"
-  /// per-strip position refreshes. Opt-in and separate from bind_stats:
-  /// the scenario runners do not bind these, so a sharded run's stats
-  /// snapshot stays byte-identical to the unsharded kernel's.
+  /// Binds the sharding counters: "shard.lbts_epochs" membership
+  /// rebuckets, "shard.refresh.nodes" per-strip position refreshes.
+  /// Opt-in and separate from bind_stats: the scenario runners do not
+  /// bind these, so a run's stats snapshot stays byte-identical at any
+  /// strip count.
   void bind_shard_stats(obs::StatsRegistry& registry);
 
  private:
@@ -173,31 +169,21 @@ class Channel {
   /// Max-interaction radius for this transmit power against the most
   /// sensitive attached radio; nullopt when the model can't bound range.
   std::optional<double> interaction_radius(double tx_power_w);
-  /// Ensures positions_ holds every live radio's position at sim->now(),
-  /// and (when `radius` is set and the grid is active) that the grid is
-  /// built over that snapshot.
-  void refresh_snapshot(const std::optional<double>& radius);
   /// Resolves the effective strip count against the first seen radius
-  /// (how many radius-wide strips fit the extent) and sizes the
-  /// per-strip state. Returns strips_; > 1 means sharding is active.
-  std::uint32_t resolve_strips(double radius);
+  /// (how many radius-wide strips fit the plan's extent; one strip
+  /// without a plan or a radius) and sizes the per-strip state.
+  std::uint32_t resolve_strips(const std::optional<double>& radius);
   /// Re-evaluates every live position (at `now`, across executor lanes)
   /// and rebuilds strip membership.
   void rebucket_shards(SimTime now);
-  /// Evaluates every live radio's position at `now` into positions_.
+  /// Evaluates the positions of `member_slots` at `now` into positions_.
   /// Slots whose mobility model exposes a BatchMobilityProvider are
   /// served in bulk (one virtual call per run of consecutive same-
   /// provider slots) instead of per-radio virtual dispatch.
-  void eval_all_positions(SimTime now);
-  /// Same, for an explicit slot list (a shard strip's members).
   void eval_member_positions(SimTime now,
                              std::span<const std::uint32_t> member_slots);
-  /// Ensures strip `s`'s members have fresh positions at `now` and its
-  /// grid is built over them.
-  void refresh_strip(std::uint32_t s, SimTime now, double radius);
-  /// Epoch-barrier task: rebuckets shard membership at the barrier time
-  /// when due (registered with the simulator by configure_shards).
-  void epoch_prefetch(SimTime at);
+  /// Ensures strip `s`'s members have fresh positions at `now`.
+  void refresh_strip(std::uint32_t s, SimTime now);
 
   netsim::Simulator* sim_;
   std::unique_ptr<PropagationModel> model_;
@@ -209,7 +195,7 @@ class Channel {
   // schedule order and therefore byte-level determinism.
   std::vector<WifiPhy*> slots_;
   std::vector<std::uint8_t> live_;
-  std::vector<Vec2> positions_;  ///< snapshot, parallel to slots_
+  std::vector<Vec2> positions_;  ///< strip snapshots, parallel to slots_
   std::size_t live_count_ = 0;
 
   /// Batch-dispatch table, parallel to slots_: the slot's mobility
@@ -219,11 +205,8 @@ class Channel {
   std::vector<std::uint32_t> batch_member_;
   std::size_t batch_count_ = 0;  ///< live slots with a provider
 
-  SimTime snapshot_time_ = SimTime::zero();
-  bool snapshot_valid_ = false;
-  bool grid_built_ = false;
-  SpatialGrid grid_;
-  std::vector<std::uint32_t> scratch_;  ///< query results, reused
+  std::vector<std::uint32_t> live_slots_;  ///< rebucket input, reused
+  std::vector<std::uint32_t> scratch_;     ///< candidates, reused
 
   /// Phase-1 output of the two-phase parallel receive-power pass,
   /// parallel to scratch_. With a pure range-bounded model and an
@@ -251,22 +234,18 @@ class Channel {
   obs::Counter obs_evaluated_;  ///< chan.evaluated
   obs::Counter obs_culled_;     ///< chan.culled
 
-  // --- spatial sharding (configure_shards) ---
+  // --- strips (configure_shards) ---
   std::optional<ShardPlan> plan_;
-  bool epoch_task_registered_ = false;
   ShardMap shards_;
-  /// Resolved strip count; 0 until the first radius-bounded transmit.
+  /// Resolved strip count; 0 until the first transmit.
   std::uint32_t strips_ = 0;
-  bool strips_resolved_ = false;
   /// Per-strip snapshot freshness and grids, parallel to strips.
   std::vector<SimTime> shard_snapshot_time_;
   std::vector<std::uint8_t> shard_snapshot_valid_;
   std::vector<std::uint8_t> shard_grid_built_;
   std::vector<SpatialGrid> shard_grids_;
 
-  std::uint64_t diag_cross_msgs_ = 0;
   std::uint64_t diag_refreshed_ = 0;
-  obs::Counter obs_shard_msgs_;     ///< shard.msgs
   obs::Counter obs_shard_epochs_;   ///< shard.lbts_epochs
   obs::Counter obs_shard_refresh_;  ///< shard.refresh.nodes
 };

@@ -1,4 +1,4 @@
-// Strip partition of the world for the sharded channel.
+// Strip partition of the world for the channel's candidate search.
 //
 // The world's x-extent is split into `strips` equal-width strips; every
 // attached radio belongs to the strip containing its position at the
@@ -12,8 +12,10 @@
 //
 // The speed bound is certified by the caller (the scenario layer derives
 // it from the mobility trace and refuses to shard traces with mid-run
-// teleports); rebucket() re-verifies it against the observed per-epoch
-// displacement and throws on violation rather than silently diverging.
+// teleports); with more than one strip, rebucket() re-verifies it against
+// the observed per-epoch displacement and throws on violation rather
+// than silently diverging. A single strip — the channel's layout when
+// nothing is sharded — skips the check: it has no boundary to cross.
 #ifndef CAVENET_PHY_SHARD_MAP_H
 #define CAVENET_PHY_SHARD_MAP_H
 
@@ -69,10 +71,10 @@ class ShardMap {
   /// is no trusted anchor to verify against.
   void invalidate() noexcept { valid_ = false; }
 
-  /// Rebuckets every slot with live[slot] != 0 at positions[slot],
-  /// verifying the certified speed bound against the displacement since
-  /// the previous epoch (throws std::logic_error on violation). Member
-  /// lists come out in ascending slot order.
+  /// Rebuckets every slot with live[slot] != 0 at positions[slot]. With
+  /// more than one strip it verifies the certified speed bound against
+  /// the displacement since the previous epoch (throws std::logic_error
+  /// on violation). Member lists come out in ascending slot order.
   void rebucket(SimTime now, std::span<const Vec2> positions,
                 std::span<const std::uint8_t> live);
 

@@ -49,13 +49,13 @@ class WifiPhy {
 
   netsim::NodeId id() const noexcept { return id_; }
   Vec2 position() const { return mobility_->position(sim_->now()); }
-  /// Position at an explicit simulation time. The channel's epoch-barrier
-  /// prefetch evaluates this before the clock reaches the barrier, and
-  /// from every executor lane — mobility models must answer it
-  /// concurrently (they are const; see netsim::MobilityModel).
+  /// Position at an explicit simulation time. The channel's strip
+  /// refreshes and rebuckets evaluate this from every executor lane —
+  /// mobility models must answer it concurrently (they are const; see
+  /// netsim::MobilityModel).
   Vec2 position_at(SimTime at) const { return mobility_->position(at); }
   /// The mobility model answering position queries. The channel inspects
-  /// it at attach time for a BatchMobilityProvider so snapshot refreshes
+  /// it at attach time for a BatchMobilityProvider so strip refreshes
   /// can be served in bulk.
   const netsim::MobilityModel* mobility() const noexcept { return mobility_; }
   const PhyParams& params() const noexcept { return params_; }

@@ -26,7 +26,7 @@ EnsembleRunner::EnsembleRunner(EnsembleOptions options)
     executor_ = options_.executor;
     jobs_ = executor_->workers();
   } else if (jobs_ > 1) {
-    pool_ = std::make_unique<ThreadPoolExecutor>(jobs_);
+    pool_ = std::make_unique<exec::ThreadPoolExecutor>(jobs_);
     executor_ = pool_.get();
   }
 }

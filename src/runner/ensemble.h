@@ -3,7 +3,7 @@
 // Every paper figure is a Monte-Carlo ensemble (densities x trials,
 // senders x protocols, seeds x replications) whose replications are
 // mutually independent — the textbook fan-out. EnsembleRunner spreads
-// those replications over a persistent runner::Executor pool (chunk
+// those replications over a persistent exec::Executor pool (chunk
 // claiming rebalances uneven replications, the work-stealing degenerate
 // case) while guaranteeing that the observable output is BITWISE
 // IDENTICAL to a serial run:
@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "obs/stats_registry.h"
-#include "runner/executor.h"
+#include "util/executor.h"
 #include "util/rng.h"
 
 namespace cavenet::runner {
@@ -58,9 +58,9 @@ struct EnsembleOptions {
   std::uint64_t rng_stream = 0x656e73;  // "ens"
   /// Shared execution pool to schedule replications on instead of a
   /// runner-owned one (non-owning; must outlive the runner). Campaign
-  /// point scheduling and the kernel's threaded shard dispatch can ride
-  /// one pool this way.
-  Executor* executor = nullptr;
+  /// point scheduling and the kernel's channel passes can ride one pool
+  /// this way.
+  exec::Executor* executor = nullptr;
 };
 
 /// What a replication body receives: its index, a private RNG stream and
@@ -83,7 +83,7 @@ class EnsembleRunner {
   /// The pool replications are scheduled on: the injected executor, the
   /// runner-owned persistent ThreadPoolExecutor (jobs > 1), or an inline
   /// executor (jobs == 1).
-  Executor& executor() noexcept { return *executor_; }
+  exec::Executor& executor() noexcept { return *executor_; }
 
   /// Runs body(ctx) once per replication 0..n-1 across jobs() executor
   /// lanes. When `merged` is non-null, the per-replication
@@ -116,9 +116,9 @@ class EnsembleRunner {
   /// Persistent pool, created once at construction and reused by every
   /// for_each call (replaces the per-call thread spawning the runner
   /// started with).
-  std::unique_ptr<ThreadPoolExecutor> pool_;
-  InlineExecutor inline_executor_;
-  Executor* executor_ = &inline_executor_;
+  std::unique_ptr<exec::ThreadPoolExecutor> pool_;
+  exec::InlineExecutor inline_executor_;
+  exec::Executor* executor_ = &inline_executor_;
 };
 
 }  // namespace cavenet::runner

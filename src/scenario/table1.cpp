@@ -72,13 +72,13 @@ std::unique_ptr<phy::PropagationModel> make_propagation(
   throw std::invalid_argument("unknown propagation model");
 }
 
-/// Derives the channel's sharding plan from the mobility trace: the
+/// Derives the channel's strip plan from the mobility trace: the
 /// x-extent over every position the trace can visit, plus the certified
 /// max speed over all setdest events (the drift bound the shard map's
-/// conservative lookahead rests on). Returns nullopt — run unsharded —
-/// when config doesn't ask for shards, when the trace teleports nodes
-/// mid-run (the straight-line layout's lane-wrap jumps violate any speed
-/// bound), or when the trace has no x extent at all.
+/// conservative lookahead rests on). Returns nullopt — the channel runs
+/// as one strip — when config doesn't ask for shards, when the trace
+/// teleports nodes mid-run (the straight-line layout's lane-wrap jumps
+/// violate any speed bound), or when the trace has no x extent at all.
 std::optional<phy::ShardPlan> make_shard_plan(
     const trace::MobilityTrace& mobility, const TableIConfig& config) {
   if (config.parallel.shards <= 1) return std::nullopt;
@@ -110,7 +110,7 @@ std::optional<phy::ShardPlan> make_shard_plan(
 }
 
 /// Bulk position source over the compiled per-node paths: the channel's
-/// per-timestamp snapshot refresh makes one virtual call per batch of
+/// per-timestamp strip refresh makes one virtual call per batch of
 /// nodes instead of a virtual hop + std::function hop per node. Member
 /// ids are node ids; the arithmetic per node is NodePath::position /
 /// ::velocity either way, so runs are byte-identical to the per-node
@@ -176,20 +176,12 @@ std::vector<SenderRunResult> run_with_trace(
   if (config.telemetry.enabled() && obs.stats == nullptr) {
     obs.stats = &local_stats;
   }
-  // Parallelism is wired before anything schedules: the shard queues
-  // must exist from event zero so the shared sequence counter covers
-  // every event of the run. The plan may have demoted shards (teleports,
-  // narrow world), so the kernel gets the resolved count, not the
-  // requested one.
-  const std::optional<phy::ShardPlan> shard_plan =
-      make_shard_plan(mobility, config);
+  // Shards and the rebucket period only shape the channel's strip plan;
+  // the kernel itself needs just its executor lanes, provisioned before
+  // anything schedules.
+  const netsim::ParallelConfig& parallel = config.parallel.validate();
   netsim::Simulator sim(config.seed);
-  {
-    netsim::ParallelConfig kernel_parallel = config.parallel;
-    kernel_parallel.shards =
-        shard_plan ? static_cast<int>(shard_plan->shards) : 1;
-    if (kernel_parallel.enabled()) sim.enable_parallel(kernel_parallel);
-  }
+  if (parallel.threads != 1) sim.enable_parallel(parallel.threads);
   if (obs.trace_sink != nullptr) sim.set_trace_sink(obs.trace_sink);
   if (obs.profiler != nullptr) sim.set_profiler(obs.profiler);
   if (config.heartbeat_s > 0.0) {
@@ -200,7 +192,10 @@ std::vector<SenderRunResult> run_with_trace(
   }
   phy::Channel channel(sim, make_propagation(config, sim),
                        config.channel_index);
-  if (shard_plan) channel.configure_shards(*shard_plan);
+  if (const std::optional<phy::ShardPlan> plan =
+          make_shard_plan(mobility, config)) {
+    channel.configure_shards(*plan);
+  }
   if (obs.stats != nullptr) channel.bind_stats(*obs.stats);
 
   mac::MacParams mac_params;

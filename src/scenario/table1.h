@@ -57,12 +57,13 @@ struct TableIConfig {
   double duration_s = 100.0;
   std::uint64_t seed = 1;
   /// Kernel parallelism (docs/SCALING.md): `parallel.shards` partitions
-  /// the world into up to that many strips, each with its own scheduler
-  /// pool and channel snapshot; `parallel.threads` adds executor lanes
-  /// for epoch-batched precompute; `parallel.epoch_s` is the rebucket /
-  /// barrier cadence. Results are byte-identical at every (shards,
-  /// threads) pair. The run falls back to one shard when the trace
-  /// cannot certify a max speed (mid-run teleports, e.g. the
+  /// the channel's world into up to that many strips, each with its own
+  /// position snapshot and grid; `parallel.threads` adds executor lanes
+  /// for the channel's position and receive-power passes;
+  /// `parallel.epoch_s` is the strip rebucket period. The event queue is
+  /// one queue at every setting, and results are byte-identical at every
+  /// (shards, threads) pair. The channel runs as one strip when the
+  /// trace cannot certify a max speed (mid-run teleports, e.g. the
   /// straight-line layout's lane-wrap jumps) or the world is too small
   /// to hold two interaction-radius-wide strips.
   netsim::ParallelConfig parallel;

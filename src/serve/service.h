@@ -31,13 +31,13 @@
 #include <vector>
 
 #include "obs/stats_registry.h"
-#include "runner/executor.h"
 #include "runner/progress.h"
 #include "serve/cache.h"
 #include "serve/http.h"
 #include "serve/journal.h"
 #include "serve/queue.h"
 #include "spec/campaign.h"
+#include "util/executor.h"
 
 namespace cavenet::serve {
 

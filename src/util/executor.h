@@ -1,11 +1,11 @@
 // Pluggable fork-join execution pool (docs/SCALING.md "Threading").
 //
 // One pool abstraction serves every parallel consumer in the tree: the
-// ensemble runner fans whole replications across it, the simulation
-// kernel's epoch barriers run shard precompute on it, and the channel
-// parallelizes its position-snapshot and receive-power passes — all
-// through the same Executor interface, which is also the seam a future
-// multi-machine job server plugs into (ROADMAP item 4).
+// ensemble runner fans whole replications across it, the job service's
+// workers claim units on it, and the channel parallelizes its strip
+// position refreshes and receive-power passes — all through the same
+// Executor interface, which is also the seam a future multi-machine job
+// server plugs into (ROADMAP item 4).
 //
 // Determinism contract: an Executor only decides WHERE work runs, never
 // what it computes. parallel_for(n, ...) invokes body(i) exactly once for

@@ -1,13 +1,10 @@
 // Simulator::enable_parallel units (docs/SCALING.md "Threading"):
-// ParallelConfig validation, pool provisioning, epoch-barrier cadence
-// and ordering against event dispatch, and the opt-in
-// shard.epoch_barriers / exec.* stats publication.
+// ParallelConfig validation, pool provisioning and the exec.* stats
+// publication.
 #include <atomic>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -42,83 +39,24 @@ TEST(ParallelConfigTest, ValidateRejectsOutOfRangeValues) {
                std::invalid_argument);
   EXPECT_NO_THROW((ParallelConfig{.shards = 4, .threads = 0, .epoch_s = 0.5}
                        .validate()));
-  EXPECT_FALSE(ParallelConfig{}.enabled());
-  EXPECT_TRUE((ParallelConfig{.shards = 2}.enabled()));
-  EXPECT_TRUE((ParallelConfig{.shards = 1, .threads = 4}.enabled()));
-  EXPECT_TRUE((ParallelConfig{.shards = 1, .threads = 0}.enabled()));
 }
 
-TEST(ParallelKernelTest, EnableParallelProvisionsShardsAndPool) {
+TEST(ParallelKernelTest, EnableParallelProvisionsPool) {
   Simulator sim;
   EXPECT_EQ(sim.threads(), 1);
-  sim.enable_parallel({.shards = 2, .threads = 3, .epoch_s = 0.5});
-  EXPECT_EQ(sim.shard_count(), 2u);
+  sim.enable_parallel(3);
   EXPECT_EQ(sim.threads(), 3);
   EXPECT_EQ(sim.executor().workers(), 3);
 }
 
 TEST(ParallelKernelTest, EnableParallelRejectsReentryAndLateCalls) {
   Simulator sim;
-  sim.enable_parallel({.shards = 2, .threads = 1, .epoch_s = 1.0});
-  EXPECT_THROW(sim.enable_parallel({.shards = 2}), std::logic_error);
+  sim.enable_parallel(2);
+  EXPECT_THROW(sim.enable_parallel(2), std::logic_error);
 
   Simulator late;
   late.schedule(SimTime::from_seconds(1.0), [] {});
-  EXPECT_THROW(late.enable_parallel({.shards = 2}), std::logic_error);
-}
-
-TEST(ParallelKernelTest, EpochTasksFireAtCadenceBeforeTheGatingEvent) {
-  Simulator sim;
-  sim.enable_parallel({.shards = 2, .threads = 1, .epoch_s = 1.0});
-  std::vector<std::pair<char, double>> order;  // ('B', t) / ('E', t)
-  sim.register_epoch_task([&](SimTime at) {
-    order.emplace_back('B', at.sec());
-  });
-  for (const double t : {0.7, 1.0, 1.4, 2.1, 2.8, 3.5}) {
-    sim.schedule_at(SimTime::from_seconds(t), [&order, t] {
-      order.emplace_back('E', t);
-    });
-  }
-  sim.run();
-
-  // A barrier at t runs before the first event with time >= t; quiet
-  // epochs (no event past them) never fire.
-  const std::vector<std::pair<char, double>> expected = {
-      {'E', 0.7}, {'B', 1.0}, {'E', 1.0}, {'E', 1.4}, {'B', 2.0},
-      {'E', 2.1}, {'E', 2.8}, {'B', 3.0}, {'E', 3.5},
-  };
-  EXPECT_EQ(order, expected);
-  EXPECT_EQ(sim.epoch_barriers(), 3u);
-}
-
-TEST(ParallelKernelTest, LegacyEnableShardingHasNoEpochBarriers) {
-  Simulator sim;
-  sim.enable_sharding(4);
-  EXPECT_EQ(sim.shard_count(), 4u);
-  EXPECT_EQ(sim.threads(), 1);
-  bool fired = false;
-  sim.register_epoch_task([&](SimTime) { fired = true; });
-  sim.schedule_at(SimTime::from_seconds(5.0), [] {});
-  sim.run();
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(sim.epoch_barriers(), 0u);
-}
-
-TEST(ParallelKernelTest, BindParallelStatsPublishesBarrierCounter) {
-  Simulator sim;
-  sim.enable_parallel({.shards = 2, .threads = 1, .epoch_s = 1.0});
-  sim.register_epoch_task([](SimTime) {});
-  // Cross two barriers before binding: the counter re-publishes them.
-  sim.schedule_at(SimTime::from_seconds(2.5), [] {});
-  sim.run();
-  ASSERT_EQ(sim.epoch_barriers(), 2u);
-
-  obs::StatsRegistry registry;
-  sim.bind_parallel_stats(registry);
-  sim.schedule_at(SimTime::from_seconds(3.5), [] {});
-  sim.run();
-  EXPECT_EQ(counter_value(registry.snapshot(), "shard.epoch_barriers"),
-            sim.epoch_barriers());
+  EXPECT_THROW(late.enable_parallel(2), std::logic_error);
 }
 
 TEST(ParallelKernelTest, PublishExecStatsExportsKernelPoolActivity) {
@@ -129,7 +67,7 @@ TEST(ParallelKernelTest, PublishExecStatsExportsKernelPoolActivity) {
   EXPECT_EQ(empty.snapshot().counters.size(), 0u);
 
   Simulator sim;
-  sim.enable_parallel({.shards = 1, .threads = 2, .epoch_s = 1.0});
+  sim.enable_parallel(2);
   std::atomic<std::size_t> covered{0};
   sim.executor().parallel_for(100, 1, [&](std::size_t) {
     covered.fetch_add(1, std::memory_order_relaxed);

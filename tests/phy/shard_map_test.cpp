@@ -121,5 +121,18 @@ TEST(ShardMapTest, InvalidateSkipsDriftVerification) {
   EXPECT_EQ(map.strip_of_slot(0), 1u);
 }
 
+TEST(ShardMapTest, SingleStripSkipsDriftVerification) {
+  // One strip has no boundary to cross, so an 890 m jump against a 5 m/s
+  // bound is accepted instead of throwing.
+  ShardMap map;
+  map.configure(1, 0.0, 0.0, 1.0, 5.0);
+  std::vector<Vec2> positions{{10, 0}};
+  const std::vector<std::uint8_t> live{1};
+  map.rebucket(SimTime::zero(), positions, live);
+  positions[0] = {900, 0};
+  EXPECT_NO_THROW(map.rebucket(1_s, positions, live));
+  EXPECT_EQ(map.members(0), (std::vector<std::uint32_t>{0}));
+}
+
 }  // namespace
 }  // namespace cavenet::phy

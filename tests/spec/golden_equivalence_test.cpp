@@ -168,9 +168,9 @@ TEST(GoldenEquivalenceTest, Fig8SpecMatchesHardcodedDriverAtAnyJobs) {
 }
 
 TEST(GoldenEquivalenceTest, Fig8ShardedMatchesHardcodedDriverAtAnyJobs) {
-  // The sharded kernel rides the same gate: every --jobs x --shards
-  // combination must write byte-identical artifacts to the unsharded
-  // hardcoded driver. Shards are injected into the parsed spec exactly
+  // The strip-sharded channel rides the same gate: every --jobs x
+  // --shards combination must write byte-identical artifacts to the
+  // unsharded hardcoded driver. Shards are injected into the parsed spec exactly
   // where `engine.parallel.shards` lands.
   CampaignSpec spec = load_campaign_file(CAVENET_SPEC_DIR "/fig8_aodv.json");
   ASSERT_EQ(spec.kind, SpecKind::kGoodputSurface);
@@ -190,22 +190,6 @@ TEST(GoldenEquivalenceTest, Fig8ShardedMatchesHardcodedDriverAtAnyJobs) {
           << shards;
     }
   }
-}
-
-TEST(GoldenEquivalenceTest, Fig8ShardedExampleSpecMatchesGoldenCsv) {
-  // The checked-in fig8_sharded.json (legacy engine.shards = 4, kept as
-  // the alias-path exerciser) must produce the exact CSV of the
-  // unsharded Fig. 8 run — the sharded spec differs only in output
-  // names.
-  const CampaignSpec spec =
-      load_campaign_file(CAVENET_SPEC_DIR "/fig8_sharded.json");
-  ASSERT_EQ(spec.kind, SpecKind::kGoodputSurface);
-  ASSERT_EQ(spec.scenario.config.parallel.shards, 4);
-
-  const fs::path dir = fresh_dir("golden_fig8_sharded_example");
-  run_spec_into(spec, /*jobs=*/1, dir);
-  EXPECT_EQ(slurp(dir / "goodput_AODV_sharded.csv"),
-            hardcoded_fig8_aodv().csv);
 }
 
 TEST(GoldenEquivalenceTest, Fig8ParallelExampleSpecMatchesGoldenCsv) {

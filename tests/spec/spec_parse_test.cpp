@@ -90,29 +90,15 @@ TEST(SpecParseTest, EngineParallelParsesAndDefaults) {
   EXPECT_DOUBLE_EQ(parallel.scenario.config.parallel.epoch_s, 0.5);
 }
 
-TEST(SpecParseTest, EngineLegacyShardKeysAliasTheParallelBlock) {
-  // Pre-ParallelConfig specs spelled the knobs flat on `engine`; they
-  // keep parsing (with a deprecation warning) as validated aliases.
-  const CampaignSpec legacy = parse_campaign(R"({
-    "name": "t", "kind": "campaign",
-    "scenario": {"engine": {"shards": 4, "shard_epoch_s": 0.5,
-                            "threads": 2}}
-  })", "test.json");
-  EXPECT_EQ(legacy.scenario.config.parallel.shards, 4);
-  EXPECT_EQ(legacy.scenario.config.parallel.threads, 2);
-  EXPECT_DOUBLE_EQ(legacy.scenario.config.parallel.epoch_s, 0.5);
-}
-
-TEST(SpecParseTest, EngineLegacyKeyMixedWithParallelBlockIsRejected) {
+TEST(SpecParseTest, EngineFlatShardKeyIsRejectedAsUnknown) {
+  // The knobs live only in the engine.parallel block; a flat spelling is
+  // an unknown key like any other.
   const std::string what = error_of(R"({
     "name": "t", "kind": "campaign",
-    "scenario": {"engine": {"parallel": {"shards": 2}, "shards": 4}}
+    "scenario": {"engine": {"shards": 4}}
   })");
   EXPECT_NE(what.find("$.scenario.engine.shards"), std::string::npos) << what;
-  EXPECT_NE(what.find("deprecated alias"), std::string::npos) << what;
-  EXPECT_NE(what.find("$.scenario.engine.parallel.shards"),
-            std::string::npos)
-      << what;
+  EXPECT_NE(what.find("unknown key"), std::string::npos) << what;
 }
 
 TEST(SpecParseTest, EngineParallelIsRangeChecked) {
@@ -126,9 +112,9 @@ TEST(SpecParseTest, EngineParallelIsRangeChecked) {
 
   const std::string bad_epoch = error_of(R"({
     "name": "t", "kind": "campaign",
-    "scenario": {"engine": {"shard_epoch_s": 0}}
+    "scenario": {"engine": {"parallel": {"epoch_s": 0}}}
   })");
-  EXPECT_NE(bad_epoch.find("$.scenario.engine.shard_epoch_s"),
+  EXPECT_NE(bad_epoch.find("$.scenario.engine.parallel.epoch_s"),
             std::string::npos)
       << bad_epoch;
 
