@@ -24,13 +24,6 @@
 //              byte-identical on every deterministic field, and report
 //              the speedup. The shard-smoke ctest label runs
 //              `--smoke --shards 4`.
-// --threads T  add a (shards, T-lane) variant of every point on top of
-//              the --shards pairing (docs/SCALING.md "Threading"); the
-//              equivalence gate byte-compares it against the serial
-//              baseline, and BENCH_scale.json points record `threads`
-//              plus the machine's `hw` lane count so the efficiency
-//              gate (tools/bench_check.py --efficiency) can skip
-//              underprovisioned hosts.
 // --vehicles   comma-separated fleet-size override (e.g.
 //              --vehicles 10000).
 // --duration S sim-seconds override per point.
@@ -42,13 +35,11 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/json.h"
 #include "scenario/scale.h"
 #include "util/cli_args.h"
-#include "util/executor.h"
 #include "util/table_writer.h"
 
 namespace {
@@ -118,12 +109,6 @@ void write_scale_json(
     w.value(static_cast<std::int64_t>(r.vehicles));
     w.key("shards");
     w.value(static_cast<std::int64_t>(r.shards));
-    w.key("threads");
-    w.value(static_cast<std::int64_t>(r.threads));
-    // Lanes this host can actually provide: the scaling-efficiency gate
-    // skips points whose requested threads exceed it.
-    w.key("hw");
-    w.value(static_cast<std::int64_t>(cavenet::exec::resolve_workers(0)));
     w.key("events");
     w.value(static_cast<std::uint64_t>(r.flow.events_dispatched));
     w.key("kernel_ms");
@@ -201,7 +186,6 @@ int main(int argc, char** argv) {
   const bool smoke = args.get_bool("smoke", false);
   const bool linear = args.get_bool("linear", false);
   const int shards = static_cast<int>(args.get_int("shards", 1));
-  const int threads = static_cast<int>(args.get_int("threads", 1));
   const std::string vehicles_csv = args.get_string("vehicles", "");
   const double duration_override = args.get_double("duration", 0.0);
   const bool write_json = args.get_bool("json", false);
@@ -212,10 +196,6 @@ int main(int argc, char** argv) {
   }
   if (shards < 1) {
     std::cerr << "--shards must be >= 1\n";
-    return 2;
-  }
-  if (threads < 1) {
-    std::cerr << "--threads must be >= 1\n";
     return 2;
   }
 
@@ -233,13 +213,6 @@ int main(int argc, char** argv) {
       duration_override > 0.0 ? duration_override : (smoke ? 6.0 : 30.0);
   const double traffic_start_s = smoke ? 1.0 : 5.0;
 
-  // Parallel variants of every point, serial baseline first. Each extra
-  // variant feeds the equivalence gate (byte-identical against the
-  // baseline) and gets a speedup column.
-  std::vector<std::pair<int, int>> variants{{1, 1}};  // (shards, threads)
-  if (shards > 1) variants.emplace_back(shards, 1);
-  if (threads > 1) variants.emplace_back(shards, threads);
-
   std::vector<ScaleConfig> sweep;
   for (const Protocol protocol : {Protocol::kAodv, Protocol::kOlsr}) {
     for (const std::int32_t n : fleets) {
@@ -250,9 +223,11 @@ int main(int argc, char** argv) {
       config.traffic_start_s = traffic_start_s;
       config.channel_index =
           linear ? phy::ChannelIndex::kLinear : phy::ChannelIndex::kGrid;
-      for (const auto& [variant_shards, variant_threads] : variants) {
-        config.parallel.shards = variant_shards;
-        config.parallel.threads = variant_threads;
+      // Unsharded baseline first; with --shards the sharded twin follows
+      // it and feeds the equivalence gate below.
+      sweep.push_back(config);
+      if (shards > 1) {
+        config.parallel.shards = shards;
         sweep.push_back(config);
       }
     }
@@ -265,19 +240,17 @@ int main(int argc, char** argv) {
   std::cout << " vehicles, AODV + OLSR, channel index "
             << (linear ? "linear (brute force)" : "grid");
   if (shards > 1) std::cout << ", shards 1 vs " << shards;
-  if (threads > 1) std::cout << ", threads 1 vs " << threads;
   std::cout << "\n\n";
 
   const std::vector<ScaleRunResult> results = run_scale_sweep(sweep, jobs);
 
-  TableWriter table({"protocol", "N", "shards", "threads", "PDR", "events",
+  TableWriter table({"protocol", "N", "shards", "PDR", "events",
                      "chan tx", "rx-pow eval", "rx-pow culled", "cull x",
                      "kernel [ms]", "wall [s]", "ev/s"});
   for (const ScaleRunResult& r : results) {
     table.add_row({std::string(to_string(r.protocol)),
                    static_cast<std::int64_t>(r.vehicles),
-                   static_cast<std::int64_t>(r.shards),
-                   static_cast<std::int64_t>(r.threads), r.flow.pdr,
+                   static_cast<std::int64_t>(r.shards), r.flow.pdr,
                    static_cast<std::int64_t>(r.flow.events_dispatched),
                    static_cast<std::int64_t>(r.transmissions),
                    static_cast<std::int64_t>(r.rx_power_evaluated),
@@ -295,37 +268,32 @@ int main(int argc, char** argv) {
     write_scale_json("BENCH_scale.json", json_label, results);
   }
 
-  // Parallel equivalence gate: the sweep interleaves every point's
-  // variants with its serial baseline first; anything non-identical in
-  // the deterministic fields is a kernel bug, not a perf regression.
+  // Shard equivalence gate: every sharded run directly follows its
+  // unsharded baseline; anything non-identical in the deterministic
+  // fields is a kernel bug, not a perf regression.
   int failures = 0;
-  if (variants.size() > 1) {
-    for (std::size_t i = 0; i + variants.size() <= results.size();
-         i += variants.size()) {
+  if (shards > 1) {
+    for (std::size_t i = 0; i + 1 < results.size(); i += 2) {
       const ScaleRunResult& base = results[i];
+      const ScaleRunResult& sharded = results[i + 1];
       const std::string base_dump = deterministic_dump(base);
-      for (std::size_t v = 1; v < variants.size(); ++v) {
-        const ScaleRunResult& par = results[i + v];
-        const std::string par_dump = deterministic_dump(par);
-        if (base_dump != par_dump) {
-          std::printf(
-              "FAIL %s N=%d: shards=%d threads=%d run diverges from the "
-              "serial baseline\n"
-              "--- shards=1 threads=1 ---\n%s--- shards=%d threads=%d ---\n%s",
-              std::string(to_string(base.protocol)).c_str(), base.vehicles,
-              par.shards, par.threads, base_dump.c_str(), par.shards,
-              par.threads, par_dump.c_str());
-          ++failures;
-          continue;
-        }
-        const double speedup =
-            par.wall_s > 0.0 ? base.wall_s / par.wall_s : 0.0;
+      const std::string sharded_dump = deterministic_dump(sharded);
+      if (base_dump != sharded_dump) {
         std::printf(
-            "equiv %s N=%d: byte-identical, shards=%d threads=%d "
-            "speedup %.2fx\n",
+            "FAIL %s N=%d: shards=%d run diverges from the unsharded "
+            "baseline\n"
+            "--- shards=1 ---\n%s--- shards=%d ---\n%s",
             std::string(to_string(base.protocol)).c_str(), base.vehicles,
-            par.shards, par.threads, speedup);
+            sharded.shards, base_dump.c_str(), sharded.shards,
+            sharded_dump.c_str());
+        ++failures;
+        continue;
       }
+      const double speedup =
+          sharded.wall_s > 0.0 ? base.wall_s / sharded.wall_s : 0.0;
+      std::printf("equiv %s N=%d: byte-identical, shards=%d speedup %.2fx\n",
+                  std::string(to_string(base.protocol)).c_str(),
+                  base.vehicles, sharded.shards, speedup);
     }
   }
 

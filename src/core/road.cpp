@@ -37,21 +37,12 @@ std::size_t Road::vehicle_count() const noexcept {
 }
 
 void Road::step() {
-  // Lanes are disjoint state with independent Rngs, so fanning them
-  // across executor lanes is deterministic — same trajectories at any
-  // thread count.
-  const auto step_lane = [this](std::size_t k) {
-    LaneEntry& entry = lanes_[k];
+  for (LaneEntry& entry : lanes_) {
     const LaneState& state = entry.sim.state();
     for (std::size_t p = 0; p < state.size(); ++p) {
       entry.last_wraps[state.id[p]] = state.wraps[p];
     }
     entry.sim.step();
-  };
-  if (executor_ != nullptr) {
-    executor_->parallel_for(lanes_.size(), 1, step_lane);
-  } else {
-    for (std::size_t k = 0; k < lanes_.size(); ++k) step_lane(k);
   }
   ++time_step_;
 }

@@ -14,7 +14,6 @@
 
 #include "core/geometry.h"
 #include "core/nas_lane.h"
-#include "util/executor.h"
 
 namespace cavenet::ca {
 
@@ -44,18 +43,10 @@ class Road {
   /// Total vehicle count across all lanes.
   std::size_t vehicle_count() const noexcept;
 
-  /// Steps every lane once. Lanes are independent automata (no lane
-  /// changing, each with its own Rng), so with an executor installed the
-  /// per-lane steps run concurrently — trajectories are identical at any
-  /// lane/thread count (the executor only decides WHERE work runs).
+  /// Steps every lane once, in lane order. Lanes are independent
+  /// automata (no lane changing, each with its own Rng).
   void step();
   std::int64_t time_step() const noexcept { return time_step_; }
-
-  /// Installs the executor step() fans lanes across (nullptr = inline).
-  /// Not owned; must outlive the road or be reset first.
-  void set_executor(exec::Executor* executor) noexcept {
-    executor_ = executor;
-  }
 
   /// Current absolute state of every vehicle, ordered by node id.
   /// Node ids number vehicles lane by lane (lane 0 first).
@@ -70,7 +61,6 @@ class Road {
   };
   std::vector<LaneEntry> lanes_;
   std::int64_t time_step_ = 0;
-  exec::Executor* executor_ = nullptr;
 };
 
 }  // namespace cavenet::ca

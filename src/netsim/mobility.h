@@ -17,10 +17,9 @@ namespace cavenet::netsim {
 /// radios; when their mobility models share a provider (one compiled
 /// mobility trace, one SoA lane state), serving the refresh in bulk
 /// replaces a virtual call + std::function hop per node with one call
-/// per batch. Implementations must be pure functions of time (safe to
-/// call concurrently) and must return exactly what the per-member
-/// position_of returns — the batched path is a dispatch optimization,
-/// never a semantic one.
+/// per batch. Implementations must be pure functions of time and must
+/// return exactly what the per-member position_of returns — the batched
+/// path is a dispatch optimization, never a semantic one.
 class BatchMobilityProvider {
  public:
   virtual ~BatchMobilityProvider() = default;

@@ -1,13 +1,13 @@
-// The kernel's one parallelism knob (docs/SCALING.md "Sharding" and
-// "Threading").
+// The kernel's one locality knob (docs/SCALING.md "Sharding").
 //
 // ParallelConfig is the single value behind TableIConfig::parallel and
 // the spec's `engine.parallel` block. `shards` and `epoch_s` shape the
-// channel's strip partition (phy::ShardPlan); `threads` sizes the
-// executor the Simulator hands the channel's position and receive-power
-// passes. Every combination is a pure performance setting: results are
-// byte-identical at any (shards, threads) pair, which the
-// shard-equivalence suite and the golden kernel fixture enforce.
+// channel's strip partition (phy::ShardPlan). A run is single-threaded
+// whatever the config says (docs/SCALING.md "Threading"); `threads` is
+// parsed and validated but has no effect. Every combination is a pure
+// performance setting: results are byte-identical at any shard count,
+// which the shard-equivalence suite and the golden kernel fixture
+// enforce.
 #ifndef CAVENET_NETSIM_PARALLEL_H
 #define CAVENET_NETSIM_PARALLEL_H
 
@@ -21,11 +21,8 @@ struct ParallelConfig {
   /// snapshot and grid (docs/SCALING.md "Sharding"). The event queue
   /// stays one queue at any value.
   int shards = 1;
-  /// Executor lanes for the channel's referentially transparent passes
-  /// (position refreshes, strip rebuckets, receive-power evaluation);
-  /// <= 0 resolves to the hardware thread count. Event dispatch commits
-  /// strictly in (time, seq) order regardless, so the thread count never
-  /// changes a single byte of output — only the wall clock.
+  /// Has no effect: a run is single-threaded. Kept so existing specs and
+  /// callers that set it stay valid.
   int threads = 1;
   /// Strip rebucket period in simulation seconds: strip membership is
   /// rebuilt from fresh positions once this much simulation time has

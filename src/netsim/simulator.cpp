@@ -2,41 +2,11 @@
 
 #include <cstdio>
 #include <stdexcept>
-#include <string>
 
 #include "obs/trace_sink.h"
 #include "util/logging.h"
 
 namespace cavenet::netsim {
-
-void Simulator::enable_parallel(int threads) {
-  if (parallel_enabled_) {
-    throw std::logic_error("enable_parallel: already enabled");
-  }
-  if (events_dispatched() != 0 || queue_depth() != 0 ||
-      now_ != SimTime::zero()) {
-    throw std::logic_error(
-        "enable_parallel must be called before any event is scheduled");
-  }
-  parallel_enabled_ = true;
-  const int lanes = exec::resolve_workers(threads);
-  if (lanes > 1 && executor_ == &inline_executor_) {
-    pool_ = std::make_unique<exec::ThreadPoolExecutor>(lanes);
-    executor_ = pool_.get();
-  }
-}
-
-void Simulator::publish_exec_stats(obs::StatsRegistry& registry) const {
-  if (!pool_) return;
-  const exec::ThreadPoolExecutor::Diagnostics d = pool_->diagnostics();
-  registry.counter("exec.batches").inc(d.batches);
-  registry.counter("exec.tasks").inc(d.tasks);
-  registry.counter("exec.chunks").inc(d.chunks);
-  for (std::size_t i = 0; i < d.lane_busy_ms.size(); ++i) {
-    registry.gauge("exec.worker" + std::to_string(i) + ".wall_ms")
-        .set(d.lane_busy_ms[i]);
-  }
-}
 
 void Simulator::run() {
   stopped_ = false;

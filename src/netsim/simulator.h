@@ -1,4 +1,6 @@
-// The simulation kernel: clock + scheduler + seeded RNG streams.
+// The simulation kernel: clock + scheduler + seeded RNG streams. A run
+// is single-threaded: events commit strictly in (time, seq) order on the
+// calling thread (docs/SCALING.md "Threading").
 //
 // Observability hooks (all optional, near-zero cost when unused):
 //  - set_profiler(): wall-clock time per event handler, attributed to the
@@ -11,14 +13,12 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
 #include <utility>
 
 #include "netsim/scheduler.h"
-#include "util/executor.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
 
@@ -74,31 +74,6 @@ class Simulator {
     return scheduler_.schedule_at(at, std::forward<F>(action), component);
   }
 
-  /// Provisions `threads` executor lanes for the kernel's referentially
-  /// transparent passes (the channel's position refreshes and
-  /// receive-power evaluation); <= 0 resolves to the hardware thread
-  /// count. Event dispatch stays one queue committed strictly in
-  /// (time, seq) order, so the lane count never changes a byte of output
-  /// — only the wall clock. Callers enabling threads > 1 must guarantee
-  /// the work they hand the executor is thread-safe (mobility position
-  /// lookups in particular). Must be called before any event is
-  /// scheduled, at most once.
-  void enable_parallel(int threads);
-
-  /// The execution pool enable_parallel provisioned (an inline,
-  /// calling-thread executor until threads > 1 is enabled or an
-  /// external pool injected via set_executor).
-  exec::Executor& executor() noexcept { return *executor_; }
-  /// Executor lanes available to the kernel (1 = serial).
-  int threads() const noexcept { return executor_->workers(); }
-
-  /// Injects a shared execution pool (nullptr restores the inline
-  /// executor). The pool must outlive the simulator; call before
-  /// enable_parallel so it wins over the kernel-owned pool.
-  void set_executor(exec::Executor* executor) noexcept {
-    executor_ = executor != nullptr ? executor : &inline_executor_;
-  }
-
   /// Runs until the event queue drains or stop() is called.
   void run();
   /// Runs events with time <= until, then sets the clock to `until`.
@@ -127,13 +102,6 @@ class Simulator {
     scheduler_.bind_stats(registry);
   }
 
-  /// Publishes the kernel-owned thread pool's lifetime activity into a
-  /// registry: "exec.batches" / "exec.tasks" / "exec.chunks" counters
-  /// plus one "exec.worker<i>.wall_ms" gauge per lane (volatile — the
-  /// manifest's strip_volatile drops the gauges). No-op without a
-  /// kernel-owned pool.
-  void publish_exec_stats(obs::StatsRegistry& registry) const;
-
   /// Attaches (nullptr detaches) a sink for kernel-emitted trace events
   /// (currently the heartbeat counter tracks).
   void set_trace_sink(obs::TraceSink* sink) noexcept { trace_sink_ = sink; }
@@ -151,12 +119,6 @@ class Simulator {
   SimTime now_ = SimTime::zero();
   bool stopped_ = false;
   std::uint64_t seed_;
-
-  // --- executor lanes (enable_parallel) ---
-  bool parallel_enabled_ = false;
-  exec::InlineExecutor inline_executor_;
-  std::unique_ptr<exec::ThreadPoolExecutor> pool_;
-  exec::Executor* executor_ = &inline_executor_;
 
   obs::TraceSink* trace_sink_ = nullptr;
   SimTime heartbeat_interval_ = SimTime::zero();

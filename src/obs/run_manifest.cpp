@@ -91,18 +91,11 @@ void RunManifest::strip_volatile() {
   created_at.clear();
   wall_duration_s = 0.0;
   events_per_wall_second = 0.0;
-  // The executor lane count is a pure performance setting (results are
-  // byte-identical at any value); it is recorded for live manifests but
-  // stripped so the determinism artifact compares equal across
-  // --threads.
-  std::erase_if(params,
-                [](const auto& param) { return param.first == "threads"; });
   // Wall-clock and wall-throughput gauges are timing noise, not
   // simulation results: the kernel profiler's per-component ".wall_ms",
-  // the per-lane "exec.worker<i>.wall_ms" pool gauges (covered by the
-  // same suffix), plus any ".wall_s" / ".per_wall_s" gauges the
-  // progress/telemetry layer publishes. Everything keyed on sim time
-  // stays. (kernel.*.dispatches counters are deterministic and stay.)
+  // plus any ".wall_s" / ".per_wall_s" gauges the progress/telemetry
+  // layer publishes. Everything keyed on sim time stays.
+  // (kernel.*.dispatches counters are deterministic and stay.)
   static constexpr std::string_view kVolatileSuffixes[] = {
       ".wall_ms", ".wall_s", ".per_wall_s"};
   std::erase_if(stats.gauges, [](const auto& gauge) {

@@ -12,17 +12,9 @@
 namespace cavenet::phy {
 
 namespace {
-/// Indices per chunk for the parallel position-refresh passes: a
-/// position lookup is a binary search plus interpolation, so chunks
-/// this size amortize the claim without starving lanes.
+/// Gather buffer size for batch position lookups: one provider call
+/// serves up to this many consecutive same-provider members.
 constexpr std::size_t kRefreshGrain = 256;
-/// Indices per chunk for the receive-power evaluation pass (each index
-/// is a distance + propagation-model evaluation, heavier than a
-/// position lookup).
-constexpr std::size_t kEvalGrain = 64;
-/// Candidate counts below this are cheaper to evaluate serially than to
-/// fan out as a fork-join batch.
-constexpr std::size_t kParallelEvalMin = 128;
 }  // namespace
 
 Channel::Attachment::Attachment(Attachment&& other) noexcept
@@ -205,11 +197,9 @@ std::optional<double> Channel::interaction_radius(double tx_power_w) {
 void Channel::eval_member_positions(
     SimTime now, std::span<const std::uint32_t> member_slots) {
   if (batch_count_ == 0) {
-    sim_->executor().parallel_for(
-        member_slots.size(), kRefreshGrain, [&](std::size_t i) {
-          const std::uint32_t slot = member_slots[i];
-          positions_[slot] = slots_[slot]->position_at(now);
-        });
+    for (const std::uint32_t slot : member_slots) {
+      positions_[slot] = slots_[slot]->position_at(now);
+    }
     return;
   }
   // Strip members are scattered slots, so gather member ids and scatter
@@ -260,42 +250,6 @@ void Channel::transmit(const WifiPhy& sender, const netsim::Packet& packet,
   // refreshing it first costs nothing and yields the sender's position.
   refresh_strip(shards_.strip_of_slot(sender_slot), now);
   const Vec2 tx_pos = positions_[sender_slot];
-  std::uint64_t evaluated = 0;
-
-  // Shared per-candidate step: exact distance cull (only when the model
-  // bounds range), then the receive-power evaluation and the receiver's
-  // own carrier-sense cull, exactly as the full scan always did. The
-  // index (linear member walk / per-strip grids, any strip count) only
-  // changes how candidates are found — a conservative superset either
-  // way — never which ones survive this exact test, so counters and
-  // deliveries are identical across all of them. When `pre` is set the
-  // distance and power come from the parallel phase-1 pass (same
-  // arithmetic, same inputs — identical doubles); the commit below still
-  // runs serially in attach order.
-  const auto consider = [&](std::uint32_t slot, const CandidateEval* pre) {
-    const Vec2 rx_pos = positions_[slot];
-    const double d = pre != nullptr ? pre->distance : distance(tx_pos, rx_pos);
-    if (radius && d > *radius) return;
-    ++evaluated;
-    WifiPhy* rx = slots_[slot];
-    const double power = pre != nullptr
-                             ? pre->power
-                             : model_->rx_power_w(tx_power_w, tx_pos, rx_pos);
-    if (power < rx->params().profile.cs_threshold_w) return;
-    const double delay_s = d / kSpeedOfLight;
-    // The per-receiver copy shares the header stack (COW), so this is a
-    // refcount bump, and the whole delivery closure fits the scheduler's
-    // inline action buffer: the hottest path in the kernel allocates
-    // nothing per receiver.
-    netsim::Packet copy = packet;
-    auto deliver = [rx, copy = std::move(copy), power, duration]() mutable {
-      rx->begin_receive(std::move(copy), power, duration);
-    };
-    static_assert(sizeof(deliver) <= netsim::detail::InlineAction::kCapacity,
-                  "broadcast delivery must stay allocation-free");
-    sim_->schedule(SimTime::from_seconds(delay_s), "chan",
-                   std::move(deliver));
-  };
 
   // Candidate collection: a conservative superset of the in-range
   // receivers, in ascending slot (attach) order. A bounded radius on a
@@ -328,38 +282,36 @@ void Channel::transmit(const WifiPhy& sender, const netsim::Packet& packet,
   // count, byte for byte.
   if (s0 != s1) std::sort(scratch_.begin(), scratch_.end());
 
-  // Two-phase parallel receive-power evaluation (docs/SCALING.md
-  // "Threading"): phase 1 computes every candidate's (distance, power)
-  // concurrently — pure arithmetic, disjoint writes — and the serial
-  // commit below reads the results in attach order. Only pure models
-  // qualify (a stochastic model's RNG draws must stay serial, in
-  // candidate order).
-  const bool parallel_eval = radius.has_value() && sim_->threads() > 1 &&
-                             model_->pure() &&
-                             scratch_.size() >= kParallelEvalMin;
-  if (parallel_eval) {
-    eval_scratch_.resize(scratch_.size());
-    sim_->executor().parallel_for(
-        scratch_.size(), kEvalGrain, [&](std::size_t i) {
-          const std::uint32_t slot = scratch_[i];
-          CandidateEval& e = eval_scratch_[i];
-          if (slot == sender_slot) {
-            e.in_range = 0;
-            return;
-          }
-          const Vec2 rx_pos = positions_[slot];
-          e.distance = distance(tx_pos, rx_pos);
-          e.in_range = e.distance <= *radius ? 1 : 0;
-          e.power = e.in_range != 0
-                        ? model_->rx_power_w(tx_power_w, tx_pos, rx_pos)
-                        : 0.0;
-        });
-  }
-
-  for (std::size_t i = 0; i < scratch_.size(); ++i) {
-    const std::uint32_t slot = scratch_[i];
+  // Exact distance cull (only when the model bounds range), then the
+  // receive-power evaluation and the receiver's own carrier-sense cull,
+  // exactly as the full scan always did. The index (linear member walk /
+  // per-strip grids, any strip count) only changes how candidates are
+  // found — a conservative superset either way — never which ones
+  // survive this exact test, so counters and deliveries are identical
+  // across all of them.
+  std::uint64_t evaluated = 0;
+  for (const std::uint32_t slot : scratch_) {
     if (slot == sender_slot) continue;
-    consider(slot, parallel_eval ? &eval_scratch_[i] : nullptr);
+    const Vec2 rx_pos = positions_[slot];
+    const double d = distance(tx_pos, rx_pos);
+    if (radius && d > *radius) continue;
+    ++evaluated;
+    WifiPhy* rx = slots_[slot];
+    const double power = model_->rx_power_w(tx_power_w, tx_pos, rx_pos);
+    if (power < rx->params().profile.cs_threshold_w) continue;
+    const double delay_s = d / kSpeedOfLight;
+    // The per-receiver copy shares the header stack (COW), so this is a
+    // refcount bump, and the whole delivery closure fits the scheduler's
+    // inline action buffer: the hottest path in the kernel allocates
+    // nothing per receiver.
+    netsim::Packet copy = packet;
+    auto deliver = [rx, copy = std::move(copy), power, duration]() mutable {
+      rx->begin_receive(std::move(copy), power, duration);
+    };
+    static_assert(sizeof(deliver) <= netsim::detail::InlineAction::kCapacity,
+                  "broadcast delivery must stay allocation-free");
+    sim_->schedule(SimTime::from_seconds(delay_s), "chan",
+                   std::move(deliver));
   }
 
   obs_evaluated_.inc(evaluated);

@@ -173,8 +173,8 @@ class Channel {
   /// (how many radius-wide strips fit the plan's extent; one strip
   /// without a plan or a radius) and sizes the per-strip state.
   std::uint32_t resolve_strips(const std::optional<double>& radius);
-  /// Re-evaluates every live position (at `now`, across executor lanes)
-  /// and rebuilds strip membership.
+  /// Re-evaluates every live position at `now` and rebuilds strip
+  /// membership.
   void rebucket_shards(SimTime now);
   /// Evaluates the positions of `member_slots` at `now` into positions_.
   /// Slots whose mobility model exposes a BatchMobilityProvider are
@@ -207,20 +207,6 @@ class Channel {
 
   std::vector<std::uint32_t> live_slots_;  ///< rebucket input, reused
   std::vector<std::uint32_t> scratch_;     ///< candidates, reused
-
-  /// Phase-1 output of the two-phase parallel receive-power pass,
-  /// parallel to scratch_. With a pure range-bounded model and an
-  /// executor wider than one lane, the (distance, power) arithmetic for
-  /// every candidate runs concurrently into this buffer; the serial
-  /// commit pass then walks candidates in attach order reading the
-  /// precomputed values — same functions, same inputs, so the delivered
-  /// set and every counter stay bitwise-identical to the serial path.
-  struct CandidateEval {
-    double distance = 0.0;
-    double power = 0.0;
-    std::uint8_t in_range = 0;
-  };
-  std::vector<CandidateEval> eval_scratch_;
 
   /// Smallest carrier-sense threshold over attached radios — the radius
   /// bound must cover the most sensitive receiver.

@@ -49,10 +49,8 @@ class WifiPhy {
 
   netsim::NodeId id() const noexcept { return id_; }
   Vec2 position() const { return mobility_->position(sim_->now()); }
-  /// Position at an explicit simulation time. The channel's strip
-  /// refreshes and rebuckets evaluate this from every executor lane —
-  /// mobility models must answer it concurrently (they are const; see
-  /// netsim::MobilityModel).
+  /// Position at an explicit simulation time (the channel's strip
+  /// refreshes and rebuckets evaluate this).
   Vec2 position_at(SimTime at) const { return mobility_->position(at); }
   /// The mobility model answering position queries. The channel inspects
   /// it at attach time for a BatchMobilityProvider so strip refreshes

@@ -53,7 +53,6 @@ ScaleRunResult run_scale(const ScaleConfig& config) {
   result.vehicles = config.vehicles;
   result.protocol = config.protocol;
   result.shards = config.parallel.shards;
-  result.threads = config.parallel.threads;
   result.flow = std::move(flow);
   result.stats = table.obs.stats->snapshot();
   result.transmissions = result.stats.counter("chan.tx");

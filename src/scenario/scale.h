@@ -36,9 +36,9 @@ struct ScaleConfig {
   double duration_s = 30.0;
   std::uint64_t seed = 1;
   phy::ChannelIndex channel_index = phy::ChannelIndex::kGrid;
-  /// Kernel parallelism for the run (see TableIConfig::parallel);
-  /// results are byte-identical at any (shards, threads) pair, only the
-  /// wall clock moves.
+  /// Channel strip partition for the run (see TableIConfig::parallel);
+  /// results are byte-identical at any shard count, only the wall clock
+  /// moves.
   netsim::ParallelConfig parallel;
 
   /// Shared with TableIConfig. When obs.stats is null, run_scale records
@@ -53,8 +53,7 @@ struct ScaleConfig {
 struct ScaleRunResult {
   std::int32_t vehicles = 0;
   Protocol protocol = Protocol::kAodv;
-  int shards = 1;   ///< requested shard count (ScaleConfig::parallel)
-  int threads = 1;  ///< requested executor lanes (ScaleConfig::parallel)
+  int shards = 1;  ///< requested shard count (ScaleConfig::parallel)
   SenderRunResult flow;
 
   std::uint64_t transmissions = 0;      ///< chan.tx

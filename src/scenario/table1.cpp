@@ -176,12 +176,10 @@ std::vector<SenderRunResult> run_with_trace(
   if (config.telemetry.enabled() && obs.stats == nullptr) {
     obs.stats = &local_stats;
   }
-  // Shards and the rebucket period only shape the channel's strip plan;
-  // the kernel itself needs just its executor lanes, provisioned before
-  // anything schedules.
-  const netsim::ParallelConfig& parallel = config.parallel.validate();
+  // Shards and the rebucket period only shape the channel's strip plan
+  // (make_shard_plan below); validate them before anything runs.
+  config.parallel.validate();
   netsim::Simulator sim(config.seed);
-  if (parallel.threads != 1) sim.enable_parallel(parallel.threads);
   if (obs.trace_sink != nullptr) sim.set_trace_sink(obs.trace_sink);
   if (obs.profiler != nullptr) sim.set_profiler(obs.profiler);
   if (config.heartbeat_s > 0.0) {

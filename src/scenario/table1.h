@@ -56,16 +56,15 @@ struct TableIConfig {
   // Simulation.
   double duration_s = 100.0;
   std::uint64_t seed = 1;
-  /// Kernel parallelism (docs/SCALING.md): `parallel.shards` partitions
-  /// the channel's world into up to that many strips, each with its own
-  /// position snapshot and grid; `parallel.threads` adds executor lanes
-  /// for the channel's position and receive-power passes;
-  /// `parallel.epoch_s` is the strip rebucket period. The event queue is
-  /// one queue at every setting, and results are byte-identical at every
-  /// (shards, threads) pair. The channel runs as one strip when the
-  /// trace cannot certify a max speed (mid-run teleports, e.g. the
-  /// straight-line layout's lane-wrap jumps) or the world is too small
-  /// to hold two interaction-radius-wide strips.
+  /// Channel locality (docs/SCALING.md "Sharding"): `parallel.shards`
+  /// partitions the channel's world into up to that many strips, each
+  /// with its own position snapshot and grid; `parallel.epoch_s` is the
+  /// strip rebucket period; `parallel.threads` has no effect, since a
+  /// run is single-threaded. Results are byte-identical at every shard
+  /// count. The channel runs as one strip when the trace cannot certify
+  /// a max speed (mid-run teleports, e.g. the straight-line layout's
+  /// lane-wrap jumps) or the world is too small to hold two
+  /// interaction-radius-wide strips.
   netsim::ParallelConfig parallel;
 
   // Radio.

@@ -11,11 +11,9 @@ namespace cavenet::spec {
 
 struct RunOptions {
   int jobs = 1;             ///< ensemble workers; <= 0 = hardware threads
-  /// Kernel executor lanes per run: overrides the spec's
-  /// engine.parallel.threads when != 0 (<= -1 and explicit 0 both mean
-  /// "hardware threads" at the kernel; 0 here means "keep the spec's
-  /// value"). A pure performance knob — outputs are byte-identical at
-  /// any value.
+  /// Has no effect: a run is single-threaded and cores go to `jobs`
+  /// (docs/SCALING.md "Threading"). Kept so existing callers that set it
+  /// still compile.
   int threads = 0;
   bool resume = false;      ///< campaigns: trust matching checkpoints
   std::string output_dir;   ///< artifact prefix ("" = cwd)
@@ -32,10 +30,9 @@ int run_spec(const CampaignSpec& spec, const RunOptions& options);
 /// load_campaign_file + run_spec.
 int run_spec_file(const std::string& path, const RunOptions& options);
 
-/// Shared main for the migrated bench binaries: parses `--jobs N` and
-/// `--threads N` (the only flags; typos abort with a did-you-mean
-/// diagnostic), runs the spec at `path`, and reports any failure on
-/// stderr. Returns the exit code.
+/// Shared main for the migrated bench binaries: parses `--jobs N` (the
+/// only flag; typos abort with a did-you-mean diagnostic), runs the spec
+/// at `path`, and reports any failure on stderr. Returns the exit code.
 int bench_spec_main(const std::string& path, int argc,
                     const char* const* argv);
 

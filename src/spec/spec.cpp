@@ -208,10 +208,6 @@ void parse_phy(ObjectReader& r, scenario::TableIConfig& config) {
       r.get_double("shadowing_exponent", config.shadowing_exponent, 1.0, 10.0);
   config.shadowing_sigma_db =
       r.get_double("shadowing_sigma_db", config.shadowing_sigma_db, 0.0, 30.0);
-  config.channel_index =
-      r.get_enum("index", "grid", {"grid", "linear"}) == "linear"
-          ? phy::ChannelIndex::kLinear
-          : phy::ChannelIndex::kGrid;
   r.finish();
 }
 
@@ -433,16 +429,16 @@ ScenarioSpec parse_scenario(const obs::JsonValue& value,
   }
   if (const obs::JsonValue* v = r.find("engine")) {
     ObjectReader er(*v, r.member_path("engine"));
-    // Kernel parallelism (docs/SCALING.md); results are byte-identical
-    // at any (shards, threads) pair, so the whole block is a pure
+    // Channel strip partition (docs/SCALING.md "Sharding"); results are
+    // byte-identical at any shard count, so the whole block is a pure
     // performance knob and never part of the scenario's identity.
     netsim::ParallelConfig& par = config.parallel;
     if (const obs::JsonValue* p = er.find("parallel")) {
       ObjectReader pr(*p, er.member_path("parallel"));
       par.shards = static_cast<int>(pr.get_int("shards", par.shards, 1, 4096));
-      // 0 = one executor lane per hardware thread.
-      par.threads =
-          static_cast<int>(pr.get_int("threads", par.threads, 0, 4096));
+      // Accepted and range-checked, but a run is single-threaded: no
+      // code reads it.
+      par.threads = static_cast<int>(pr.get_int("threads", 1, 0, 4096));
       par.epoch_s = pr.get_double("epoch_s", par.epoch_s, 1e-9, kInf);
       pr.finish();
     }

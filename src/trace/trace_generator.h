@@ -7,7 +7,6 @@
 
 #include "core/road.h"
 #include "trace/mobility_trace.h"
-#include "util/executor.h"
 
 namespace cavenet::trace {
 
@@ -22,11 +21,6 @@ struct TraceGeneratorOptions {
   /// Invoked before every road step — controllers (traffic signals, grid
   /// coordinators) update their blocked cells here.
   std::function<void(ca::Road&)> pre_step;
-  /// Executor the road fans independent lane steps across during the
-  /// stepping loop (nullptr = inline). Lanes are disjoint automata with
-  /// their own Rng, so the generated trace is byte-identical at any
-  /// thread count. Must outlive the generate_trace call.
-  exec::Executor* executor = nullptr;
 };
 
 /// Steps `road` options.steps times and records one waypoint per moving

@@ -1,7 +1,6 @@
 #include "util/executor.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace cavenet::exec {
 
@@ -21,13 +20,9 @@ void InlineExecutor::run_chunks(std::size_t n, std::size_t grain,
 
 ThreadPoolExecutor::ThreadPoolExecutor(int threads)
     : lanes_(resolve_workers(threads)) {
-  lane_busy_ns_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-      static_cast<std::size_t>(lanes_));
-  for (int i = 0; i < lanes_; ++i) lane_busy_ns_[i].store(0);
   threads_.reserve(static_cast<std::size_t>(lanes_ - 1));
   for (int lane = 1; lane < lanes_; ++lane) {
-    threads_.emplace_back(&ThreadPoolExecutor::worker_main, this,
-                          static_cast<std::size_t>(lane));
+    threads_.emplace_back(&ThreadPoolExecutor::worker_main, this);
   }
 }
 
@@ -40,12 +35,11 @@ ThreadPoolExecutor::~ThreadPoolExecutor() {
   for (std::thread& t : threads_) t.join();
 }
 
-bool ThreadPoolExecutor::claim_and_run(std::size_t lane) {
+bool ThreadPoolExecutor::claim_and_run() {
   const std::size_t c = next_chunk_.fetch_add(1, std::memory_order_relaxed);
   if (c >= chunk_count_) return false;
   const std::size_t begin = c * chunk_;
   const std::size_t end = std::min(n_, begin + chunk_);
-  const auto t0 = std::chrono::steady_clock::now();
   try {
     fn_(ctx_, begin, end);
   } catch (...) {
@@ -55,12 +49,6 @@ bool ThreadPoolExecutor::claim_and_run(std::size_t lane) {
       failure_ = std::current_exception();
     }
   }
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-  lane_busy_ns_[lane].fetch_add(static_cast<std::uint64_t>(ns),
-                                std::memory_order_relaxed);
-  diag_chunks_.fetch_add(1, std::memory_order_relaxed);
   if (done_chunks_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
       chunk_count_) {
     // Empty critical section pairs with the caller's predicate check so
@@ -71,7 +59,7 @@ bool ThreadPoolExecutor::claim_and_run(std::size_t lane) {
   return true;
 }
 
-void ThreadPoolExecutor::worker_main(std::size_t lane) {
+void ThreadPoolExecutor::worker_main() {
   std::unique_lock<std::mutex> lock(mutex_);
   std::uint64_t seen = 0;
   for (;;) {
@@ -81,7 +69,7 @@ void ThreadPoolExecutor::worker_main(std::size_t lane) {
     seen = generation_;
     ++active_;
     lock.unlock();
-    while (claim_and_run(lane)) {
+    while (claim_and_run()) {
     }
     lock.lock();
     if (--active_ == 0) idle_cv_.notify_all();
@@ -94,14 +82,8 @@ void ThreadPoolExecutor::run_chunks(
   if (n == 0) return;
   if (grain == 0) grain = 1;
   if (lanes_ <= 1 || n <= grain) {
-    // Nothing to fan out; run inline (still counts toward lane 0).
-    const auto t0 = std::chrono::steady_clock::now();
+    // Nothing to fan out; run inline.
     fn(ctx, 0, n);
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    lane_busy_ns_[0].fetch_add(static_cast<std::uint64_t>(ns),
-                               std::memory_order_relaxed);
     return;
   }
 
@@ -125,12 +107,10 @@ void ThreadPoolExecutor::run_chunks(
     failure_ = nullptr;
     failure_begin_ = n;
     ++generation_;
-    ++diag_batches_;
-    diag_tasks_ += n;
   }
   work_cv_.notify_all();
 
-  while (claim_and_run(0)) {
+  while (claim_and_run()) {
   }
 
   std::unique_lock<std::mutex> lock(mutex_);
@@ -143,22 +123,6 @@ void ThreadPoolExecutor::run_chunks(
     lock.unlock();
     std::rethrow_exception(failure);
   }
-}
-
-ThreadPoolExecutor::Diagnostics ThreadPoolExecutor::diagnostics() const {
-  Diagnostics d;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  d.batches = diag_batches_;
-  d.tasks = diag_tasks_;
-  d.chunks = diag_chunks_.load(std::memory_order_relaxed);
-  d.lane_busy_ms.reserve(static_cast<std::size_t>(lanes_));
-  for (int i = 0; i < lanes_; ++i) {
-    d.lane_busy_ms.push_back(
-        static_cast<double>(
-            lane_busy_ns_[i].load(std::memory_order_relaxed)) /
-        1e6);
-  }
-  return d;
 }
 
 }  // namespace cavenet::exec

@@ -106,18 +106,18 @@ TEST(RunManifestTest, StripVolatileDropsWallClockGauges) {
   EXPECT_EQ(json.find("points.per_wall_s"), std::string::npos);
 }
 
-TEST(RunManifestTest, StripVolatileDropsTheThreadsParam) {
-  // The executor lane count is recorded for live manifests but results
-  // are byte-identical at any value, so the determinism artifact strips
-  // it; every scenario-identity param stays.
+TEST(RunManifestTest, StripVolatileKeepsEveryParam) {
+  // Params are scenario identity, never wall-clock noise: the
+  // determinism artifact keeps all of them.
   RunManifest m;
-  m.set_param("threads", std::int64_t{4});
   m.set_param("vehicles", std::int64_t{30});
+  m.set_param("protocol", "AODV");
 
   m.strip_volatile();
 
-  EXPECT_EQ(m.param("threads", "gone"), "gone");
+  EXPECT_EQ(m.params.size(), 2u);
   EXPECT_EQ(m.param("vehicles", ""), "30");
+  EXPECT_EQ(m.param("protocol", ""), "AODV");
 }
 
 TEST(RunManifestTest, StripVolatileKeepsQuantiles) {

@@ -1,12 +1,11 @@
-// Parallel-equivalence property gate: sharding and threading the kernel
-// are pure locality/throughput optimizations, so a run's complete
-// observable output — every SenderRunResult field, the full
-// stats-registry JSON and the (uid-canonicalized) ns-2 packet log —
-// must be byte-identical at every (shards, threads) pair. Randomized
-// Table-I scenarios cover both layouts (circular shards; straight-line
-// falls back on its lane-wrap teleports) plus a seeded trace that
-// oscillates nodes across strip boundaries every epoch, the worst case
-// for stale-membership lookahead.
+// Shard-equivalence property gate: sharding the channel is a pure
+// locality optimization, so a run's complete observable output — every
+// SenderRunResult field, the full stats-registry JSON and the
+// (uid-canonicalized) ns-2 packet log — must be byte-identical at every
+// shard count. Randomized Table-I scenarios cover both layouts (circular
+// shards; straight-line falls back on its lane-wrap teleports) plus a
+// seeded trace that oscillates nodes across strip boundaries every epoch,
+// the worst case for stale-membership lookahead.
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
@@ -76,10 +75,9 @@ void dump_result(std::ostringstream& out, const SenderRunResult& r) {
   out << '\n';
 }
 
-/// Complete observable outcome of one Table-I run at (shards, threads).
-std::string dump_table1(TableIConfig config, int shards, int threads) {
+/// Complete observable outcome of one Table-I run at `shards`.
+std::string dump_table1(TableIConfig config, int shards) {
   config.parallel.shards = shards;
-  config.parallel.threads = threads;
   netsim::PacketLog log;
   obs::StatsRegistry stats;
   config.obs.packet_log = &log;
@@ -99,9 +97,8 @@ std::string dump_table1(TableIConfig config, int shards, int threads) {
 
 /// Same, over an explicit mobility trace.
 std::string dump_trace_run(const trace::MobilityTrace& mobility,
-                           TableIConfig config, int shards, int threads) {
+                           TableIConfig config, int shards) {
   config.parallel.shards = shards;
-  config.parallel.threads = threads;
   netsim::PacketLog log;
   obs::StatsRegistry stats;
   config.obs.packet_log = &log;
@@ -122,9 +119,7 @@ std::string dump_trace_run(const trace::MobilityTrace& mobility,
 TEST(ShardEquivalenceTest, RandomizedScenariosByteIdenticalAtAnyShardCount) {
   // ~50 randomized scenario shapes, each compared across shard counts
   // chosen to hit even/odd partitions and counts above what the world
-  // supports (the resolve-time min() clamp), with a randomized executor
-  // lane count per trial plus a threads-only (shards=1) run — the full
-  // (shards, threads) matrix spread across trials.
+  // supports (the resolve-time min() clamp).
   Rng meta(20260809);
   const Protocol protocols[] = {Protocol::kAodv, Protocol::kOlsr,
                                 Protocol::kDymo, Protocol::kDsdv};
@@ -145,25 +140,20 @@ TEST(ShardEquivalenceTest, RandomizedScenariosByteIdenticalAtAnyShardCount) {
     config.traffic_start_s = 1.0;
     config.traffic_stop_s = 7.0;
 
-    const int thread_choices[] = {1, 2, 4};
-    const int threads =
-        thread_choices[meta.uniform_int(std::int64_t{0}, 2)];
+    // Retired thread-count draw, still consumed so the 50 trial shapes
+    // stay the ones this gate has always covered.
+    meta.uniform_int(std::int64_t{0}, 2);
 
-    const std::string reference = dump_table1(config, 1, 1);
+    const std::string reference = dump_table1(config, 1);
     for (const int shards : {2, 4, 7}) {
-      const std::string sharded = dump_table1(config, shards, threads);
+      const std::string sharded = dump_table1(config, shards);
       ASSERT_EQ(sharded, reference)
           << "trial " << trial << " protocol "
           << to_string(config.protocol) << " vehicles " << config.vehicles
           << " layout "
           << (config.circular_layout ? "circular" : "straight")
-          << " seed " << config.seed << " diverged at shards=" << shards
-          << " threads=" << threads;
+          << " seed " << config.seed << " diverged at shards=" << shards;
     }
-    // Threads without shards: the pool alone must be inert too.
-    ASSERT_EQ(dump_table1(config, 1, 4), reference)
-        << "trial " << trial << " seed " << config.seed
-        << " diverged at shards=1 threads=4";
   }
 }
 
@@ -202,13 +192,10 @@ TEST(ShardEquivalenceTest, BoundaryChurnTraceByteIdentical) {
   config.traffic_stop_s = 9.0;
   config.parallel.epoch_s = 0.5;  // force frequent rebuckets
 
-  const std::string reference = dump_trace_run(mobility, config, 1, 1);
+  const std::string reference = dump_trace_run(mobility, config, 1);
   for (const int shards : {2, 4, 7}) {
-    for (const int threads : {1, 4}) {
-      EXPECT_EQ(dump_trace_run(mobility, config, shards, threads), reference)
-          << "boundary-churn trace diverged at shards=" << shards
-          << " threads=" << threads;
-    }
+    EXPECT_EQ(dump_trace_run(mobility, config, shards), reference)
+        << "boundary-churn trace diverged at shards=" << shards;
   }
 }
 
@@ -237,9 +224,8 @@ TEST(ShardEquivalenceTest, MidRunTeleportTraceFallsBackUnsharded) {
   config.traffic_start_s = 1.0;
   config.traffic_stop_s = 5.0;
 
-  const std::string reference = dump_trace_run(mobility, config, 1, 1);
-  // Threads stay live through the unsharded fallback — byte-inert too.
-  EXPECT_EQ(dump_trace_run(mobility, config, 4, 4), reference);
+  const std::string reference = dump_trace_run(mobility, config, 1);
+  EXPECT_EQ(dump_trace_run(mobility, config, 4), reference);
 }
 
 }  // namespace

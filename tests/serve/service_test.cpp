@@ -4,21 +4,21 @@
 //    run_campaign, at 1 worker and at several workers;
 //  * a resubmitted spec is a 100% cache hit that still serves
 //    byte-identical artifacts;
-//  * crash recovery: killing the service mid-campaign (stop() writes no
-//    terminal records — on-disk state identical to SIGKILL) and
-//    restarting re-runs ONLY the unfinished units: nothing is simulated
-//    twice, no result is lost, and the final outputs byte-match;
+//  * crash recovery: restarting on the on-disk state a kill after two
+//    finished units leaves re-runs ONLY the unfinished units: nothing is
+//    simulated twice, no result is lost, and the final outputs
+//    byte-match;
 //  * the HTTP surface (submit / status / results / events / cancel)
 //    over real sockets.
-#include <chrono>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/json.h"
+#include "serve/cache.h"
 #include "serve/service.h"
 #include "spec/campaign.h"
 #include "spec/spec.h"
@@ -155,44 +155,88 @@ TEST(JobServiceTest, ResubmissionIsAFullCacheHitWithIdenticalBytes) {
   service.stop();
 }
 
+/// Rewinds a finished job's state dir to a crash right after its
+/// `kept`-th point_done append: the journal is cut after that record (as
+/// journal_test cuts it), and every later unit's cache entry and
+/// artifacts — plus the campaign outputs finalization wrote — are
+/// deleted. The result is exactly what a kill at that moment leaves on
+/// disk, with no race on when the kill lands.
+void rewind_to_crash_after_units(const fs::path& state,
+                                 const fs::path& job_dir, std::size_t kept) {
+  const fs::path journal = state / "journal.jsonl";
+  std::istringstream lines(slurp(journal));
+  ResultCache cache((state / "cache").string());
+  std::string prefix;
+  std::string fingerprint;
+  std::vector<std::string> kept_files{"spec.json"};
+  std::vector<std::string> dropped_files;
+  std::size_t done = 0;
+  std::string line;
+  while (std::getline(lines, line)) {
+    const obs::JsonValue record = obs::parse_json(line);
+    const std::string& kind = record.find("record")->string;
+    if (kind == "job_submitted") {
+      fingerprint = record.find("fingerprint")->string;
+    }
+    const bool cut = done >= kept;
+    if (!cut) prefix += line + '\n';
+    if (kind == "point_done") {
+      ++done;
+      if (cut) {
+        const auto unit =
+            static_cast<std::size_t>(record.find("unit")->number);
+        cache.evict(unit_cache_key(fingerprint, false, unit));
+      }
+    }
+    if (const obs::JsonValue* files = record.find("files")) {
+      for (const obs::JsonValue& file : files->array) {
+        (cut ? dropped_files : kept_files).push_back(file.string);
+      }
+    }
+  }
+  ASSERT_GT(done, kept) << "the journal must hold units past the cut";
+  std::ofstream(journal, std::ios::binary | std::ios::trunc) << prefix;
+  for (const std::string& file : dropped_files) {
+    if (std::find(kept_files.begin(), kept_files.end(), file) ==
+        kept_files.end()) {
+      fs::remove(job_dir / file);
+    }
+  }
+}
+
 TEST(JobServiceTest, CrashMidCampaignRecoversWithoutDoubleSimulation) {
   const fs::path direct_dir = fresh_dir("serve_crash_direct");
   run_direct(kCampaignJson, direct_dir);
 
+  // First life: run the campaign, then rewind its on-disk state to a
+  // crash after two of the six units finished.
   const fs::path state = fresh_dir("serve_crash");
+  const std::uint64_t executed_before = 2;
   std::string job;
-  std::uint64_t executed_before = 0;
+  fs::path job_dir;
   {
     JobService service(base_options(state, 1));
     job = service.submit(kCampaignJson);
-    // Interrupt after at least one unit completed. stop() writes no
-    // terminal journal records — on-disk state is exactly what SIGKILL
-    // would leave (modulo the torn tail, covered by the journal tests).
-    while (true) {
-      const obs::JsonValue status = service.job_status(job);
-      if (status.find("units_done")->number >= 2.0) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
+    ASSERT_TRUE(service.wait(job, 120.0));
+    job_dir = service.job_dir(job);
     service.stop();
-    executed_before = service.stats().counter("serve.units.executed");
-    ASSERT_GE(executed_before, 2u);
-    ASSERT_LT(executed_before, 6u) << "interrupt happened too late to test";
   }
+  rewind_to_crash_after_units(state, job_dir, executed_before);
 
   // Restart on the same state dir: only the unfinished units run.
   JobService service(base_options(state, 1));
-  EXPECT_GT(service.replayed_pending_units(), 0u);
+  EXPECT_EQ(service.replayed_pending_units(), 4u);
   ASSERT_TRUE(service.wait(job, 120.0));
   const obs::JsonValue status = service.job_status(job);
   EXPECT_EQ(status.find("state")->string, "done");
   EXPECT_EQ(status.find("units_done")->number, 6.0);
 
   // No double simulation: units executed across both lives, plus any
-  // replay cache hits (a unit cached before the stop but after its
-  // journal record was lost), must cover each point exactly once.
+  // replay cache hits, must cover each point exactly once.
   const std::uint64_t executed_after =
       service.stats().counter("serve.units.executed");
   const std::uint64_t replay_hits = service.stats().counter("serve.cache.hits");
+  EXPECT_GE(executed_after, 1u) << "the second life must simulate";
   EXPECT_EQ(executed_before + executed_after + replay_hits, 6u)
       << "first life " << executed_before << ", second life "
       << executed_after << ", cache hits " << replay_hits;

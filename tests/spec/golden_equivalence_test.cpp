@@ -193,14 +193,13 @@ TEST(GoldenEquivalenceTest, Fig8ShardedMatchesHardcodedDriverAtAnyJobs) {
 }
 
 TEST(GoldenEquivalenceTest, Fig8ParallelExampleSpecMatchesGoldenCsv) {
-  // The modern engine.parallel block (shards + executor lanes) rides the
-  // same gate: fig8_parallel.json must reproduce the unsharded Fig. 8
-  // CSV byte-for-byte with the thread pool live.
+  // The engine.parallel block rides the same gate: fig8_parallel.json
+  // must reproduce the unsharded Fig. 8 CSV byte-for-byte with four
+  // strips.
   const CampaignSpec spec =
       load_campaign_file(CAVENET_SPEC_DIR "/fig8_parallel.json");
   ASSERT_EQ(spec.kind, SpecKind::kGoodputSurface);
   ASSERT_EQ(spec.scenario.config.parallel.shards, 4);
-  ASSERT_EQ(spec.scenario.config.parallel.threads, 4);
 
   const fs::path dir = fresh_dir("golden_fig8_parallel_example");
   run_spec_into(spec, /*jobs=*/1, dir);

@@ -46,7 +46,7 @@ TEST(SpecParseTest, FullScenarioRoundTrip) {
       "mobility": {"model": "nas", "lane_cells": 200, "vehicles": 12,
                    "slowdown_p": 0.25, "boundary": "open"},
       "phy": {"propagation": "shadowing", "shadowing_exponent": 3.0,
-              "shadowing_sigma_db": 6.0, "index": "linear"},
+              "shadowing_sigma_db": 6.0},
       "mac": {"rate_bps": 11e6, "rts_cts": true},
       "routing": {"protocol": "dsdv"},
       "traffic": {"packets_per_second": 2, "payload_bytes": 256,
@@ -62,7 +62,6 @@ TEST(SpecParseTest, FullScenarioRoundTrip) {
   EXPECT_DOUBLE_EQ(config.slowdown_p, 0.25);
   EXPECT_FALSE(config.circular_layout);
   EXPECT_EQ(config.propagation, scenario::Propagation::kShadowing);
-  EXPECT_EQ(config.channel_index, phy::ChannelIndex::kLinear);
   EXPECT_DOUBLE_EQ(config.mac_rate_bps, 11e6);
   EXPECT_TRUE(config.use_rts_cts);
   EXPECT_EQ(config.protocol, scenario::Protocol::kDsdv);
@@ -71,6 +70,17 @@ TEST(SpecParseTest, FullScenarioRoundTrip) {
   EXPECT_EQ(config.sender, 3u);
   EXPECT_FALSE(spec.scenario.collect_stats);
   EXPECT_DOUBLE_EQ(config.heartbeat_s, 10.0);
+}
+
+TEST(SpecParseTest, PhyIndexKeyIsRejectedAsUnknown) {
+  // The brute-force channel is a test and bench reference
+  // (TableIConfig::channel_index), not a spec option.
+  const std::string what = error_of(R"({
+    "name": "t", "kind": "campaign",
+    "scenario": {"phy": {"index": "linear"}}
+  })");
+  EXPECT_NE(what.find("$.scenario.phy.index"), std::string::npos) << what;
+  EXPECT_NE(what.find("unknown key"), std::string::npos) << what;
 }
 
 TEST(SpecParseTest, EngineParallelParsesAndDefaults) {

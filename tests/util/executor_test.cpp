@@ -148,18 +148,5 @@ TEST(ThreadPoolExecutorTest, SurvivesAFailedBatchAndKeepsWorking) {
   EXPECT_EQ(count.load(), 64u);
 }
 
-TEST(ThreadPoolExecutorTest, DiagnosticsAccumulateAcrossBatches) {
-  ThreadPoolExecutor pool(2);
-  const ThreadPoolExecutor::Diagnostics before = pool.diagnostics();
-  pool.parallel_for(100, 1, [](std::size_t) {});
-  pool.parallel_for(50, 1, [](std::size_t) {});
-  const ThreadPoolExecutor::Diagnostics after = pool.diagnostics();
-  EXPECT_EQ(after.batches, before.batches + 2);
-  EXPECT_EQ(after.tasks, before.tasks + 150);
-  EXPECT_GE(after.chunks, after.batches);  // >= one chunk per batch
-  ASSERT_EQ(after.lane_busy_ms.size(), 2u);
-  for (const double busy : after.lane_busy_ms) EXPECT_GE(busy, 0.0);
-}
-
 }  // namespace
 }  // namespace cavenet::exec

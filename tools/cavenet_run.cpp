@@ -5,9 +5,8 @@
 //   cavenet-run --validate spec.json...      parse + validate only
 //   cavenet-run --list-points spec.json      print a campaign's expansion
 //   cavenet-run spec.json --jobs N           ensemble workers per spec
-//   cavenet-run spec.json --threads N        kernel executor lanes per run
-//                                            (overrides engine.parallel
-//                                            .threads; byte-identical)
+//                                            (each run is single-threaded;
+//                                            cores go to --jobs)
 //   cavenet-run spec.json --resume           trust matching checkpoints
 //   cavenet-run spec.json --output-dir DIR   artifact prefix
 //   cavenet-run spec.json --progress         live per-point events +
@@ -31,7 +30,7 @@ using namespace cavenet;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: cavenet-run <spec.json>... [--jobs N] [--threads N]\n"
+               "usage: cavenet-run <spec.json>... [--jobs N]\n"
                "                   [--resume] [--output-dir DIR]\n"
                "                   [--validate] [--list-points]\n"
                "                   [--progress] [--progress-period SECS]\n");
@@ -93,7 +92,6 @@ int main(int argc, char** argv) {
                      {"resume", "validate", "list-points", "progress"});
   spec::RunOptions options;
   options.jobs = static_cast<int>(args.get_int("jobs", 1));
-  options.threads = static_cast<int>(args.get_int("threads", 0));
   options.resume = args.get_bool("resume", false);
   options.output_dir = args.get_string("output-dir", "");
   options.progress = args.get_bool("progress", false);
