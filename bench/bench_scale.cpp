@@ -18,12 +18,9 @@
 //              --json-label, default "current"), extending the
 //              checked-in perf trajectory.
 // --linear     use the brute-force channel (kLinear) instead of the
-//              grid, for A/B-ing the index's win.
-// --shards K   run every point unsharded AND with K spatial shards
-//              (docs/SCALING.md "Sharding"), verify the runs
-//              byte-identical on every deterministic field, and report
-//              the speedup. The shard-smoke ctest label runs
-//              `--smoke --shards 4`.
+//              grid, for A/B-ing the index's win. The grid channel
+//              derives its own strip count from each fleet's extent
+//              (docs/SCALING.md "Sharding").
 // --vehicles   comma-separated fleet-size override (e.g.
 //              --vehicles 10000).
 // --duration S sim-seconds override per point.
@@ -107,8 +104,6 @@ void write_scale_json(
     w.value(to_string(r.protocol));
     w.key("vehicles");
     w.value(static_cast<std::int64_t>(r.vehicles));
-    w.key("shards");
-    w.value(static_cast<std::int64_t>(r.shards));
     w.key("events");
     w.value(static_cast<std::uint64_t>(r.flow.events_dispatched));
     w.key("kernel_ms");
@@ -129,34 +124,6 @@ void write_scale_json(
   std::ofstream out(path, std::ios::trunc);
   out << w.str() << '\n';
   std::cout << "json: " << path << " (label \"" << label << "\")\n";
-}
-
-/// Every deterministic field of a scale point, rendered exactly
-/// (hexfloat doubles). Two runs of the same point at different shard
-/// counts must produce identical text — the bench's own equivalence
-/// gate, independent of the test suite's.
-std::string deterministic_dump(const cavenet::scenario::ScaleRunResult& r) {
-  const auto hex = [](double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    return std::string(buf);
-  };
-  std::ostringstream out;
-  const cavenet::scenario::SenderRunResult& f = r.flow;
-  out << to_string(r.protocol) << ' ' << r.vehicles << '\n'
-      << f.tx_packets << ' ' << f.rx_packets << ' ' << hex(f.pdr) << ' '
-      << hex(f.mean_delay_s) << ' ' << hex(f.max_delay_s) << ' '
-      << hex(f.first_delivery_delay_s) << ' ' << hex(f.mean_hop_count)
-      << '\n'
-      << f.control_packets << ' ' << f.control_bytes << ' '
-      << f.route_discoveries << ' ' << f.mac_collisions << ' '
-      << f.mac_retries << ' ' << f.mac_tx_failed << ' '
-      << f.events_dispatched << ' ' << hex(f.channel_utilization) << '\n'
-      << r.transmissions << ' ' << r.rx_power_evaluated << ' '
-      << r.rx_power_culled << '\n';
-  for (const double g : f.goodput_bps) out << hex(g) << ' ';
-  out << '\n';
-  return out.str();
 }
 
 std::vector<std::int32_t> parse_fleets(const std::string& csv) {
@@ -185,17 +152,12 @@ int main(int argc, char** argv) {
   const int jobs = static_cast<int>(args.get_int("jobs", 1));
   const bool smoke = args.get_bool("smoke", false);
   const bool linear = args.get_bool("linear", false);
-  const int shards = static_cast<int>(args.get_int("shards", 1));
   const std::string vehicles_csv = args.get_string("vehicles", "");
   const double duration_override = args.get_double("duration", 0.0);
   const bool write_json = args.get_bool("json", false);
   const std::string json_label = args.get_string("json-label", "current");
   for (const std::string& flag : args.unknown_flags()) {
     std::cerr << args.describe_unknown(flag) << "\n";
-    return 2;
-  }
-  if (shards < 1) {
-    std::cerr << "--shards must be >= 1\n";
     return 2;
   }
 
@@ -223,13 +185,7 @@ int main(int argc, char** argv) {
       config.traffic_start_s = traffic_start_s;
       config.channel_index =
           linear ? phy::ChannelIndex::kLinear : phy::ChannelIndex::kGrid;
-      // Unsharded baseline first; with --shards the sharded twin follows
-      // it and feeds the equivalence gate below.
       sweep.push_back(config);
-      if (shards > 1) {
-        config.parallel.shards = shards;
-        sweep.push_back(config);
-      }
     }
   }
 
@@ -238,19 +194,16 @@ int main(int argc, char** argv) {
     std::cout << (i ? "/" : "") << fleets[i];
   }
   std::cout << " vehicles, AODV + OLSR, channel index "
-            << (linear ? "linear (brute force)" : "grid");
-  if (shards > 1) std::cout << ", shards 1 vs " << shards;
-  std::cout << "\n\n";
+            << (linear ? "linear (brute force)" : "grid") << "\n\n";
 
   const std::vector<ScaleRunResult> results = run_scale_sweep(sweep, jobs);
 
-  TableWriter table({"protocol", "N", "shards", "PDR", "events",
-                     "chan tx", "rx-pow eval", "rx-pow culled", "cull x",
-                     "kernel [ms]", "wall [s]", "ev/s"});
+  TableWriter table({"protocol", "N", "PDR", "events", "chan tx",
+                     "rx-pow eval", "rx-pow culled", "cull x", "kernel [ms]",
+                     "wall [s]", "ev/s"});
   for (const ScaleRunResult& r : results) {
     table.add_row({std::string(to_string(r.protocol)),
-                   static_cast<std::int64_t>(r.vehicles),
-                   static_cast<std::int64_t>(r.shards), r.flow.pdr,
+                   static_cast<std::int64_t>(r.vehicles), r.flow.pdr,
                    static_cast<std::int64_t>(r.flow.events_dispatched),
                    static_cast<std::int64_t>(r.transmissions),
                    static_cast<std::int64_t>(r.rx_power_evaluated),
@@ -268,38 +221,10 @@ int main(int argc, char** argv) {
     write_scale_json("BENCH_scale.json", json_label, results);
   }
 
-  // Shard equivalence gate: every sharded run directly follows its
-  // unsharded baseline; anything non-identical in the deterministic
-  // fields is a kernel bug, not a perf regression.
-  int failures = 0;
-  if (shards > 1) {
-    for (std::size_t i = 0; i + 1 < results.size(); i += 2) {
-      const ScaleRunResult& base = results[i];
-      const ScaleRunResult& sharded = results[i + 1];
-      const std::string base_dump = deterministic_dump(base);
-      const std::string sharded_dump = deterministic_dump(sharded);
-      if (base_dump != sharded_dump) {
-        std::printf(
-            "FAIL %s N=%d: shards=%d run diverges from the unsharded "
-            "baseline\n"
-            "--- shards=1 ---\n%s--- shards=%d ---\n%s",
-            std::string(to_string(base.protocol)).c_str(), base.vehicles,
-            sharded.shards, base_dump.c_str(), sharded.shards,
-            sharded_dump.c_str());
-        ++failures;
-        continue;
-      }
-      const double speedup =
-          sharded.wall_s > 0.0 ? base.wall_s / sharded.wall_s : 0.0;
-      std::printf("equiv %s N=%d: byte-identical, shards=%d speedup %.2fx\n",
-                  std::string(to_string(base.protocol)).c_str(),
-                  base.vehicles, sharded.shards, speedup);
-    }
-  }
-
   // Sanity gates so the smoke run fails loudly if the index regresses:
   // every pair (transmission, other radio) is either evaluated or culled,
   // and at the largest fleet the index must pay for itself.
+  int failures = 0;
   for (const ScaleRunResult& r : results) {
     const auto expected =
         r.transmissions * static_cast<std::uint64_t>(r.vehicles - 1);

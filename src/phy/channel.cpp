@@ -15,6 +15,9 @@ namespace {
 /// Gather buffer size for batch position lookups: one provider call
 /// serves up to this many consecutive same-provider members.
 constexpr std::size_t kRefreshGrain = 256;
+/// Upper bound on the derived strip count (2 253 km of extent at the
+/// WaveLAN radius): keeps per-strip state bounded for absurd extents.
+constexpr double kMaxStrips = 4096.0;
 }  // namespace
 
 Channel::Attachment::Attachment(Attachment&& other) noexcept
@@ -101,32 +104,18 @@ void Channel::bind_stats(obs::StatsRegistry& registry) {
   obs_culled_ = registry.counter("chan.culled");
 }
 
-void Channel::bind_shard_stats(obs::StatsRegistry& registry) {
-  obs_shard_epochs_ = registry.counter("shard.lbts_epochs");
-  obs_shard_refresh_ = registry.counter("shard.refresh.nodes");
-  // Re-publish activity from before the registry was attached.
-  obs_shard_epochs_.inc(shards_.epochs());
-  obs_shard_refresh_.inc(diag_refreshed_);
-}
-
 void Channel::configure_shards(const ShardPlan& plan) {
-  if (plan.shards == 0) {
-    throw std::invalid_argument("shard plan needs at least one shard");
-  }
-  if (!(plan.epoch_s > 0.0)) {
-    throw std::invalid_argument("shard epoch must be > 0");
-  }
   if (plan.max_speed_mps < 0.0) {
     throw std::invalid_argument("shard max speed must be >= 0");
   }
-  if (plan.shards > 1 && !(plan.x_max > plan.x_min)) {
+  if (!(plan.x_max > plan.x_min)) {
     throw std::invalid_argument("shard plan needs a positive x extent");
   }
   plan_.reset();
   strips_ = 0;
   // The kLinear reference deliberately never shards: it exists to be the
   // brute-force baseline the grid paths are compared against.
-  if (plan.shards <= 1 || index_ != ChannelIndex::kGrid) return;
+  if (index_ != ChannelIndex::kGrid) return;
   plan_ = plan;
 }
 
@@ -135,17 +124,15 @@ std::uint32_t Channel::resolve_strips(const std::optional<double>& radius) {
   const ShardPlan plan = plan_.value_or(ShardPlan{});
   strips_ = 1;
   const double extent = plan.x_max - plan.x_min;
-  if (plan_ && radius && extent > 0.0 && *radius > 0.0) {
-    // A strip narrower than the interaction radius buys nothing — every
-    // query would touch several strips. Scenarios whose extent holds
-    // fewer than two radius-wide strips are too small to shard and stay
-    // one strip (docs/SCALING.md "Sharding").
-    const double cap = std::floor(extent / *radius);
-    const double want = std::min(static_cast<double>(plan.shards), cap);
-    if (want > 1.0) strips_ = static_cast<std::uint32_t>(want);
+  if (plan_ && radius && *radius > 0.0) {
+    // As many strips as the extent holds radius-wide ones: a narrower
+    // strip buys nothing, since every query would touch several strips.
+    // Scenarios whose extent holds fewer than two stay one strip
+    // (docs/SCALING.md "Sharding").
+    const double fit = std::min(std::floor(extent / *radius), kMaxStrips);
+    if (fit > 1.0) strips_ = static_cast<std::uint32_t>(fit);
   }
-  shards_.configure(strips_, plan.x_min, plan.x_max, plan.epoch_s,
-                    plan.max_speed_mps);
+  shards_.configure(strips_, plan.x_min, plan.x_max, plan.max_speed_mps);
   shard_snapshot_time_.assign(strips_, SimTime::zero());
   shard_snapshot_valid_.assign(strips_, 0);
   shard_grid_built_.assign(strips_, 0);
@@ -167,9 +154,6 @@ void Channel::rebucket_shards(SimTime now) {
     shard_snapshot_valid_[s] = 1;
     shard_grid_built_[s] = 0;
   }
-  obs_shard_epochs_.inc();
-  obs_shard_refresh_.inc(live_count_);
-  diag_refreshed_ += live_count_;
 }
 
 void Channel::refresh_strip(std::uint32_t s, SimTime now) {
@@ -179,8 +163,6 @@ void Channel::refresh_strip(std::uint32_t s, SimTime now) {
   shard_snapshot_time_[s] = now;
   shard_snapshot_valid_[s] = 1;
   shard_grid_built_[s] = 0;
-  obs_shard_refresh_.inc(members.size());
-  diag_refreshed_ += members.size();
 }
 
 std::optional<double> Channel::interaction_radius(double tx_power_w) {
@@ -241,7 +223,7 @@ void Channel::transmit(const WifiPhy& sender, const netsim::Packet& packet,
 
   // Only the strips the interaction radius (plus the drift margin) can
   // reach get their positions refreshed. Resolved lazily because the
-  // strip width depends on the radius; without a plan this is one strip
+  // strip count depends on the radius; without a plan this is one strip
   // holding every live radio.
   const std::uint32_t strips = resolve_strips(radius);
   if (shards_.needs_rebucket(now)) rebucket_shards(now);

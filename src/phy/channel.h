@@ -3,11 +3,12 @@
 // speed-of-light delay.
 //
 // Scaling design (docs/SCALING.md): the channel partitions the world into
-// x-strips (one strip unless a ShardPlan asks for more and the trace can
-// afford them). Each strip keeps a per-timestamp snapshot of its members'
-// positions and, when the propagation model can bound its interaction
-// range (PropagationModel::max_range_m), a uniform grid over that
-// snapshot; a transmission refreshes only the strips its radius can reach
+// as many x-strips as the ShardPlan's extent holds interaction-radius-
+// wide strips (one strip without a plan). Each strip keeps a
+// per-timestamp snapshot of its members' positions and, when the
+// propagation model can bound its interaction range
+// (PropagationModel::max_range_m), a uniform grid over that snapshot;
+// a transmission refreshes only the strips its radius can reach
 // and only evaluates receive power for radios within the max-interaction
 // radius. Receivers beyond it are provably below every radio's
 // carrier-sense threshold, so the grid path is bitwise-identical to a
@@ -38,24 +39,21 @@ namespace cavenet::phy {
 /// kept for equivalence testing and for measuring the index's win.
 enum class ChannelIndex { kGrid, kLinear };
 
-/// Spatial sharding plan for the channel (docs/SCALING.md "Sharding").
-/// The world's x-extent is partitioned into up to `shards` strips; each
-/// transmission only refreshes the position snapshot and spatial grid of
-/// the strips its interaction radius (plus drift margin) can reach, so
-/// the per-transmit snapshot cost drops from O(radios) to
-/// O(radios/shards). `max_speed_mps` must be a true bound on every
-/// radio's speed for the whole run — the scenario layer certifies it
-/// from the mobility trace and refuses to shard traces with mid-run
-/// teleports; with more than one strip, ShardMap re-verifies it every
-/// epoch and throws on violation. Results are bitwise-identical at any
-/// strip count: the candidate superset changes, the evaluated set and
-/// event order never do.
+/// Strip plan for the channel (docs/SCALING.md "Sharding"): the trace's
+/// certificate. The world's x-extent [x_min, x_max] is partitioned into
+/// max(1, floor(extent / interaction radius)) strips; each transmission
+/// only refreshes the position snapshot and spatial grid of the strips
+/// its interaction radius (plus drift margin) can reach, so the
+/// per-transmit snapshot cost drops from O(radios) to O(radios/strips).
+/// `max_speed_mps` must be a true bound on every radio's speed for the
+/// whole run — the scenario layer certifies it from the mobility trace
+/// and gives traces with mid-run teleports no plan; with more than one
+/// strip, ShardMap re-verifies it every epoch and throws on violation.
+/// Results are bitwise-identical at any strip count: the candidate
+/// superset changes, the evaluated set and event order never do.
 struct ShardPlan {
-  std::uint32_t shards = 1;
   double x_min = 0.0;
   double x_max = 0.0;
-  /// Membership rebucket period in simulation seconds.
-  double epoch_s = 1.0;
   double max_speed_mps = 0.0;
 };
 
@@ -125,25 +123,15 @@ class Channel {
     for (auto& v : shard_snapshot_valid_) v = 0;
   }
 
-  /// Installs a spatial sharding plan (see ShardPlan). Call before the
-  /// run; without a plan (or with plan.shards == 1) the channel runs as
-  /// one strip. The effective strip count is resolved lazily against the
-  /// interaction radius — a world narrower than `shards` strips of one
-  /// radius falls back to fewer strips (possibly one). Requires a
-  /// grid-indexed channel; the kLinear reference and unbounded models
-  /// always run as one strip.
+  /// Installs a strip plan (see ShardPlan). Call before the run; without
+  /// a plan the channel runs as one strip. The strip count is resolved
+  /// lazily against the interaction radius — a world narrower than two
+  /// radius-wide strips stays one strip. Requires a grid-indexed channel;
+  /// the kLinear reference and unbounded models always run as one strip.
   void configure_shards(const ShardPlan& plan);
 
-  /// Observed sharding state, for tests and the bench harness.
-  struct ShardDiagnostics {
-    /// Resolved strip count (0 = not yet resolved by a transmit).
-    std::uint32_t strips = 0;
-    std::uint64_t epochs = 0;     ///< membership rebuckets
-    std::uint64_t refreshed = 0;  ///< per-strip position refreshes (nodes)
-  };
-  ShardDiagnostics shard_diagnostics() const noexcept {
-    return {strips_, shards_.epochs(), diag_refreshed_};
-  }
+  /// Resolved strip count (0 until the first transmit resolves it).
+  std::uint32_t strips() const noexcept { return strips_; }
 
   PropagationModel& propagation() noexcept { return *model_; }
   ChannelIndex index_mode() const noexcept { return index_; }
@@ -157,21 +145,14 @@ class Channel {
   /// which ones are evaluated.
   void bind_stats(obs::StatsRegistry& registry);
 
-  /// Binds the sharding counters: "shard.lbts_epochs" membership
-  /// rebuckets, "shard.refresh.nodes" per-strip position refreshes.
-  /// Opt-in and separate from bind_stats: the scenario runners do not
-  /// bind these, so a run's stats snapshot stays byte-identical at any
-  /// strip count.
-  void bind_shard_stats(obs::StatsRegistry& registry);
-
  private:
   void detach_slot(std::uint32_t slot) noexcept;
   /// Max-interaction radius for this transmit power against the most
   /// sensitive attached radio; nullopt when the model can't bound range.
   std::optional<double> interaction_radius(double tx_power_w);
-  /// Resolves the effective strip count against the first seen radius
-  /// (how many radius-wide strips fit the plan's extent; one strip
-  /// without a plan or a radius) and sizes the per-strip state.
+  /// Resolves the strip count against the first seen radius (how many
+  /// radius-wide strips fit the plan's extent; one strip without a plan
+  /// or a radius) and sizes the per-strip state.
   std::uint32_t resolve_strips(const std::optional<double>& radius);
   /// Re-evaluates every live position at `now` and rebuilds strip
   /// membership.
@@ -230,10 +211,6 @@ class Channel {
   std::vector<std::uint8_t> shard_snapshot_valid_;
   std::vector<std::uint8_t> shard_grid_built_;
   std::vector<SpatialGrid> shard_grids_;
-
-  std::uint64_t diag_refreshed_ = 0;
-  obs::Counter obs_shard_epochs_;   ///< shard.lbts_epochs
-  obs::Counter obs_shard_refresh_;  ///< shard.refresh.nodes
 };
 
 }  // namespace cavenet::phy

@@ -7,15 +7,12 @@
 namespace cavenet::phy {
 
 void ShardMap::configure(std::uint32_t strips, double x_min, double x_max,
-                         double epoch_s, double max_speed_mps) {
+                         double max_speed_mps) {
   if (strips == 0) {
     throw std::invalid_argument("shard map needs at least one strip");
   }
   if (!(x_max > x_min) && strips > 1) {
     throw std::invalid_argument("shard map extent must be positive");
-  }
-  if (!(epoch_s > 0.0)) {
-    throw std::invalid_argument("shard epoch must be > 0");
   }
   if (max_speed_mps < 0.0) {
     throw std::invalid_argument("max speed must be >= 0");
@@ -23,13 +20,11 @@ void ShardMap::configure(std::uint32_t strips, double x_min, double x_max,
   strips_ = strips;
   x_min_ = x_min;
   strip_width_ = strips > 1 ? (x_max - x_min) / strips : 0.0;
-  epoch_s_ = epoch_s;
   max_speed_mps_ = max_speed_mps;
   members_.assign(strips, {});
   strip_of_slot_.clear();
   anchors_.clear();
   valid_ = false;
-  epochs_ = 0;
 }
 
 std::uint32_t ShardMap::strip_of_x(double x) const noexcept {
@@ -62,7 +57,7 @@ void ShardMap::rebucket(SimTime now, std::span<const Vec2> positions,
           std::to_string(distance(positions[slot], anchors_[slot])) +
           " m > bound " + std::to_string(bound) +
           " m — mobility moved faster than the certified max speed "
-          "(teleport?); the scenario layer must fall back to one shard");
+          "(teleport?); the scenario layer must fall back to one strip");
     }
     const std::uint32_t strip = strip_of_x(positions[slot].x);
     strip_of_slot_[slot] = strip;
@@ -71,7 +66,6 @@ void ShardMap::rebucket(SimTime now, std::span<const Vec2> positions,
   anchors_.assign(positions.begin(), positions.end());
   last_rebucket_ = now;
   valid_ = true;
-  ++epochs_;
 }
 
 }  // namespace cavenet::phy

@@ -2,7 +2,8 @@
 //
 // The world's x-extent is split into `strips` equal-width strips; every
 // attached radio belongs to the strip containing its position at the
-// last rebucket epoch. Between epochs membership is allowed to go stale:
+// last rebucket epoch (every kEpochSeconds of simulation time). Between
+// epochs membership is allowed to go stale:
 // a radio certified to move at most `max_speed_mps` can have drifted at
 // most max_speed * elapsed from its bucketed position, so a query that
 // pads its x-range by that margin (see margin_at) still reaches every
@@ -11,11 +12,11 @@
 // evaluated lazily instead of with explicit null messages.
 //
 // The speed bound is certified by the caller (the scenario layer derives
-// it from the mobility trace and refuses to shard traces with mid-run
-// teleports); with more than one strip, rebucket() re-verifies it against
-// the observed per-epoch displacement and throws on violation rather
-// than silently diverging. A single strip — the channel's layout when
-// nothing is sharded — skips the check: it has no boundary to cross.
+// it from the mobility trace and gives traces with mid-run teleports no
+// strip plan); with more than one strip, rebucket() re-verifies it
+// against the observed per-epoch displacement and throws on violation
+// rather than silently diverging. A single strip skips the check: it has
+// no boundary to cross.
 #ifndef CAVENET_PHY_SHARD_MAP_H
 #define CAVENET_PHY_SHARD_MAP_H
 
@@ -31,12 +32,13 @@ namespace cavenet::phy {
 class ShardMap {
  public:
   static constexpr std::uint32_t kNoStrip = 0xFFFFFFFFu;
+  /// Membership rebucket period in simulation seconds.
+  static constexpr double kEpochSeconds = 1.0;
 
-  /// Fixes the partition: `strips` >= 1 equal strips over [x_min, x_max],
-  /// rebucketed every `epoch_s` of simulation time, with `max_speed_mps`
-  /// as the certified drift bound.
+  /// Fixes the partition: `strips` >= 1 equal strips over [x_min, x_max]
+  /// with `max_speed_mps` as the certified drift bound.
   void configure(std::uint32_t strips, double x_min, double x_max,
-                 double epoch_s, double max_speed_mps);
+                 double max_speed_mps);
 
   std::uint32_t strips() const noexcept { return strips_; }
   bool configured() const noexcept { return strips_ > 0; }
@@ -57,7 +59,7 @@ class ShardMap {
   /// True when membership must be rebuilt before use: never bucketed,
   /// invalidated by churn, or the epoch has elapsed.
   bool needs_rebucket(SimTime now) const noexcept {
-    return !valid_ || (now - last_rebucket_).sec() >= epoch_s_;
+    return !valid_ || (now - last_rebucket_).sec() >= kEpochSeconds;
   }
 
   /// How far any radio may have strayed from its bucketed position by
@@ -78,13 +80,10 @@ class ShardMap {
   void rebucket(SimTime now, std::span<const Vec2> positions,
                 std::span<const std::uint8_t> live);
 
-  std::uint64_t epochs() const noexcept { return epochs_; }
-
  private:
   std::uint32_t strips_ = 0;
   double x_min_ = 0.0;
   double strip_width_ = 0.0;
-  double epoch_s_ = 1.0;
   double max_speed_mps_ = 0.0;
 
   bool valid_ = false;
@@ -94,7 +93,6 @@ class ShardMap {
   /// Bucketed position per slot — the anchor the drift bound is verified
   /// against at the next epoch.
   std::vector<Vec2> anchors_;
-  std::uint64_t epochs_ = 0;
 };
 
 }  // namespace cavenet::phy

@@ -3,7 +3,9 @@
 // scaled up to hundreds or thousands of nodes), instrumented to answer
 // "what does one transmission cost as the network grows": events
 // dispatched, receive-power evaluations performed vs culled by the
-// channel's spatial index, and kernel wall time per component.
+// channel's spatial index, and kernel wall time per component. The
+// channel derives its strip count from each circuit's extent
+// (docs/SCALING.md "Sharding"), so larger fleets run more strips.
 #ifndef CAVENET_SCENARIO_SCALE_H
 #define CAVENET_SCENARIO_SCALE_H
 
@@ -36,10 +38,6 @@ struct ScaleConfig {
   double duration_s = 30.0;
   std::uint64_t seed = 1;
   phy::ChannelIndex channel_index = phy::ChannelIndex::kGrid;
-  /// Channel strip partition for the run (see TableIConfig::parallel);
-  /// results are byte-identical at any shard count, only the wall clock
-  /// moves.
-  netsim::ParallelConfig parallel;
 
   /// Shared with TableIConfig. When obs.stats is null, run_scale records
   /// into a private registry so the channel-index counters below are
@@ -53,7 +51,6 @@ struct ScaleConfig {
 struct ScaleRunResult {
   std::int32_t vehicles = 0;
   Protocol protocol = Protocol::kAodv;
-  int shards = 1;  ///< requested shard count (ScaleConfig::parallel)
   SenderRunResult flow;
 
   std::uint64_t transmissions = 0;      ///< chan.tx

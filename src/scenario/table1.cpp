@@ -76,12 +76,11 @@ std::unique_ptr<phy::PropagationModel> make_propagation(
 /// x-extent over every position the trace can visit, plus the certified
 /// max speed over all setdest events (the drift bound the shard map's
 /// conservative lookahead rests on). Returns nullopt — the channel runs
-/// as one strip — when config doesn't ask for shards, when the trace
-/// teleports nodes mid-run (the straight-line layout's lane-wrap jumps
-/// violate any speed bound), or when the trace has no x extent at all.
+/// as one strip — when the trace teleports nodes mid-run (the
+/// straight-line layout's lane-wrap jumps violate any speed bound), or
+/// when the trace has no x extent at all.
 std::optional<phy::ShardPlan> make_shard_plan(
-    const trace::MobilityTrace& mobility, const TableIConfig& config) {
-  if (config.parallel.shards <= 1) return std::nullopt;
+    const trace::MobilityTrace& mobility) {
   double x_min = std::numeric_limits<double>::infinity();
   double x_max = -std::numeric_limits<double>::infinity();
   double max_speed = 0.0;
@@ -100,13 +99,7 @@ std::optional<phy::ShardPlan> make_shard_plan(
     }
   }
   if (!(x_max > x_min)) return std::nullopt;
-  phy::ShardPlan plan;
-  plan.shards = static_cast<std::uint32_t>(config.parallel.shards);
-  plan.x_min = x_min;
-  plan.x_max = x_max;
-  plan.epoch_s = config.parallel.epoch_s;
-  plan.max_speed_mps = max_speed;
-  return plan;
+  return phy::ShardPlan{x_min, x_max, max_speed};
 }
 
 /// Bulk position source over the compiled per-node paths: the channel's
@@ -176,9 +169,6 @@ std::vector<SenderRunResult> run_with_trace(
   if (config.telemetry.enabled() && obs.stats == nullptr) {
     obs.stats = &local_stats;
   }
-  // Shards and the rebucket period only shape the channel's strip plan
-  // (make_shard_plan below); validate them before anything runs.
-  config.parallel.validate();
   netsim::Simulator sim(config.seed);
   if (obs.trace_sink != nullptr) sim.set_trace_sink(obs.trace_sink);
   if (obs.profiler != nullptr) sim.set_profiler(obs.profiler);
@@ -191,7 +181,7 @@ std::vector<SenderRunResult> run_with_trace(
   phy::Channel channel(sim, make_propagation(config, sim),
                        config.channel_index);
   if (const std::optional<phy::ShardPlan> plan =
-          make_shard_plan(mobility, config)) {
+          make_shard_plan(mobility)) {
     channel.configure_shards(*plan);
   }
   if (obs.stats != nullptr) channel.bind_stats(*obs.stats);

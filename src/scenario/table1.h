@@ -56,15 +56,12 @@ struct TableIConfig {
   // Simulation.
   double duration_s = 100.0;
   std::uint64_t seed = 1;
-  /// Channel locality (docs/SCALING.md "Sharding"): `parallel.shards`
-  /// partitions the channel's world into up to that many strips, each
-  /// with its own position snapshot and grid; `parallel.epoch_s` is the
-  /// strip rebucket period; `parallel.threads` has no effect, since a
-  /// run is single-threaded. Results are byte-identical at every shard
-  /// count. The channel runs as one strip when the trace cannot certify
-  /// a max speed (mid-run teleports, e.g. the straight-line layout's
-  /// lane-wrap jumps) or the world is too small to hold two
-  /// interaction-radius-wide strips.
+  /// Has no effect (see netsim::ParallelConfig). The channel derives its
+  /// own strip count from the trace's x-extent and its interaction
+  /// radius (docs/SCALING.md "Sharding"), and runs as one strip when the
+  /// trace cannot certify a max speed (mid-run teleports, e.g. the
+  /// straight-line layout's lane-wrap jumps) or the world is too small to
+  /// hold two interaction-radius-wide strips.
   netsim::ParallelConfig parallel;
 
   // Radio.

@@ -429,17 +429,15 @@ ScenarioSpec parse_scenario(const obs::JsonValue& value,
   }
   if (const obs::JsonValue* v = r.find("engine")) {
     ObjectReader er(*v, r.member_path("engine"));
-    // Channel strip partition (docs/SCALING.md "Sharding"); results are
-    // byte-identical at any shard count, so the whole block is a pure
-    // performance knob and never part of the scenario's identity.
-    netsim::ParallelConfig& par = config.parallel;
+    // Accepted and range-checked so existing specs stay valid, but
+    // neither key changes a run: the channel derives its own strip count
+    // (docs/SCALING.md "Sharding") and a run is single-threaded. The
+    // block is never part of the scenario's identity.
     if (const obs::JsonValue* p = er.find("parallel")) {
       ObjectReader pr(*p, er.member_path("parallel"));
-      par.shards = static_cast<int>(pr.get_int("shards", par.shards, 1, 4096));
-      // Accepted and range-checked, but a run is single-threaded: no
-      // code reads it.
-      par.threads = static_cast<int>(pr.get_int("threads", 1, 0, 4096));
-      par.epoch_s = pr.get_double("epoch_s", par.epoch_s, 1e-9, kInf);
+      pr.get_int("shards", 1, 1, 4096);
+      config.parallel.threads =
+          static_cast<int>(pr.get_int("threads", 1, 0, 4096));
       pr.finish();
     }
     er.finish();

@@ -1,15 +1,16 @@
-// Channel sharding units: plan validation, the kLinear/too-small
-// one-strip rules, shard diagnostics, the opt-in shard.* counters,
-// cross-strip delivery, and the one-strip path's tolerance of teleports.
-// Observable behaviour (who receives what) must be identical with and
-// without a shard plan.
+// Channel strip units: plan validation, the derived strip count and its
+// kLinear/too-small one-strip rules, cross-strip delivery, the drift
+// margin, attach/detach churn, and the one-strip path's tolerance of
+// teleports. Observable behaviour (who receives what) must be identical
+// with and without a strip plan.
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "obs/stats_registry.h"
 #include "phy/channel.h"
 #include "phy/wifi_phy.h"
 
@@ -47,134 +48,153 @@ struct ShardFixture {
     return count;
   }
 
-  static ShardPlan plan(std::uint32_t shards, double x_min,
-                                 double x_max) {
-    ShardPlan p;
-    p.shards = shards;
-    p.x_min = x_min;
-    p.x_max = x_max;
-    p.epoch_s = 1.0;
-    p.max_speed_mps = 0.0;  // static radios
-    return p;
+  /// Static radios: a zero speed certificate.
+  static ShardPlan plan(double x_min, double x_max) {
+    return ShardPlan{x_min, x_max, 0.0};
   }
 };
 
 TEST(ChannelShardTest, ConfigureShardsValidatesPlan) {
   ShardFixture f;
-  ShardPlan p = ShardFixture::plan(0, 0.0, 100.0);
-  EXPECT_THROW(f.channel.configure_shards(p), std::invalid_argument);
-  p = ShardFixture::plan(2, 0.0, 100.0);
-  p.epoch_s = 0.0;
-  EXPECT_THROW(f.channel.configure_shards(p), std::invalid_argument);
-  p = ShardFixture::plan(2, 0.0, 100.0);
+  ShardPlan p = ShardFixture::plan(0.0, 100.0);
   p.max_speed_mps = -1.0;
   EXPECT_THROW(f.channel.configure_shards(p), std::invalid_argument);
-  p = ShardFixture::plan(2, 100.0, 100.0);  // empty extent
+  p = ShardFixture::plan(100.0, 100.0);  // empty extent
   EXPECT_THROW(f.channel.configure_shards(p), std::invalid_argument);
 }
 
 TEST(ChannelShardTest, SingleShardPlanStaysDormant) {
+  // 1 000 m holds one 550.6 m interaction-radius-wide strip, not two.
   ShardFixture f;
-  f.channel.configure_shards(ShardFixture::plan(1, 0.0, 1000.0));
+  f.channel.configure_shards(ShardFixture::plan(0.0, 1000.0));
   WifiPhy& tx = f.add_radio({0, 0});
   f.add_radio({100, 0});
-  EXPECT_EQ(f.channel.shard_diagnostics().strips, 0u);  // until a transmit
+  EXPECT_EQ(f.channel.strips(), 0u);  // until a transmit
   EXPECT_EQ(f.count_deliveries(tx), 1);
-  EXPECT_EQ(f.channel.shard_diagnostics().strips, 1u);
+  EXPECT_EQ(f.channel.strips(), 1u);
+}
+
+TEST(ChannelShardTest, DerivedStripCountFollowsTheExtent) {
+  // The circuit diameters of the benchmark fleets at 10 vehicles/km
+  // against the 550.6 m WaveLAN interaction radius: 30 vehicles on 3 km
+  // (paper_figs, serve_mixed), 1 000 on 100 km (olsr_1k) and 10 000 on
+  // 1 000 km (scale_10k). An absurd extent (a hostile trace file) is
+  // clamped rather than sized into billions of strips.
+  const std::pair<double, std::uint32_t> cases[] = {
+      {954.9, 1}, {31830.0, 57}, {318309.0, 578}, {1e15, 4096}};
+  for (const auto& [extent, strips] : cases) {
+    ShardFixture f;
+    f.channel.configure_shards(ShardFixture::plan(0.0, extent));
+    WifiPhy& tx = f.add_radio({0, 0});
+    f.add_radio({100, 0});
+    EXPECT_EQ(f.count_deliveries(tx), 1);
+    EXPECT_EQ(f.channel.strips(), strips) << "extent " << extent << " m";
+  }
 }
 
 TEST(ChannelShardTest, LinearIndexNeverShards) {
   // kLinear is the brute-force reference the sharded path is compared
   // against; a shard plan on it must be ignored, not applied.
   ShardFixture f(ChannelIndex::kLinear);
-  f.channel.configure_shards(ShardFixture::plan(4, 0.0, 2000.0));
+  f.channel.configure_shards(ShardFixture::plan(0.0, 2000.0));
   WifiPhy& tx = f.add_radio({0, 0});
   f.add_radio({100, 0});
   EXPECT_EQ(f.count_deliveries(tx), 1);
-  EXPECT_EQ(f.channel.shard_diagnostics().strips, 1u);
+  EXPECT_EQ(f.channel.strips(), 1u);
 }
 
 TEST(ChannelShardTest, TooSmallWorldFallsBackToOneStrip) {
   // The extent holds fewer than two interaction-radius-wide strips, so
   // sharding buys nothing and the channel stays one strip.
   ShardFixture f;
-  f.channel.configure_shards(ShardFixture::plan(4, 0.0, 120.0));
+  f.channel.configure_shards(ShardFixture::plan(0.0, 120.0));
   WifiPhy& tx = f.add_radio({0, 0});
   f.add_radio({100, 0});
   EXPECT_EQ(f.count_deliveries(tx), 1);
-  EXPECT_EQ(f.channel.shard_diagnostics().strips, 1u);
+  EXPECT_EQ(f.channel.strips(), 1u);
 }
 
 TEST(ChannelShardTest, ShardedDeliveriesMatchUnsharded) {
   const auto deliveries = [](bool sharded) {
     ShardFixture f;
     if (sharded) {
-      f.channel.configure_shards(ShardFixture::plan(4, 0.0, 2000.0));
+      f.channel.configure_shards(ShardFixture::plan(0.0, 2000.0));
     }
     WifiPhy* tx = nullptr;
     for (double x = 0.0; x < 2000.0; x += 80.0) {
       WifiPhy& radio = f.add_radio({x, 0});
       if (x == 560.0) tx = &radio;
     }
-    return f.count_deliveries(*tx);
+    const int count = f.count_deliveries(*tx);
+    EXPECT_EQ(f.channel.strips(), sharded ? 3u : 1u);
+    return count;
   };
   const int unsharded = deliveries(false);
   EXPECT_GT(unsharded, 0);
   EXPECT_EQ(deliveries(true), unsharded);
 }
 
-TEST(ChannelShardTest, DiagnosticsRecordEpochsAndRefreshes) {
-  ShardFixture f;
-  f.channel.configure_shards(ShardFixture::plan(4, 0.0, 2000.0));
-  WifiPhy& tx = f.add_radio({500, 0});
-  f.add_radio({600, 0});
-  f.add_radio({1900, 0});  // far strip: never refreshed by this transmit
-  f.count_deliveries(tx);
-  const Channel::ShardDiagnostics diag = f.channel.shard_diagnostics();
-  EXPECT_GE(diag.strips, 2u);
-  EXPECT_GE(diag.epochs, 1u);
-  EXPECT_GT(diag.refreshed, 0u);
-}
-
 TEST(ChannelShardTest, CrossStripDeliveryReachesTheNeighbour) {
   ShardFixture f;
-  f.channel.configure_shards(ShardFixture::plan(2, 0.0, 2000.0));
-  // Both radios within range but on opposite sides of the x = 1000 strip
-  // boundary: the query must reach into the neighbouring strip.
-  WifiPhy& tx = f.add_radio({960, 0});
-  f.add_radio({1040, 0});
+  f.channel.configure_shards(ShardFixture::plan(0.0, 2000.0));
+  // Three 666.7 m strips. Both radios within range but on opposite sides
+  // of the x = 666.7 strip boundary: the query must reach into the
+  // neighbouring strip.
+  WifiPhy& tx = f.add_radio({626, 0});
+  f.add_radio({706, 0});
   EXPECT_EQ(f.count_deliveries(tx), 1);
-  EXPECT_EQ(f.channel.shard_diagnostics().strips, 2u);
+  EXPECT_EQ(f.channel.strips(), 3u);
 }
 
-TEST(ChannelShardTest, BindShardStatsPublishesOptInCounters) {
-  ShardFixture f;
-  f.channel.configure_shards(ShardFixture::plan(2, 0.0, 2000.0));
-  WifiPhy& tx = f.add_radio({960, 0});
-  f.add_radio({1040, 0});
-  f.count_deliveries(tx);
+TEST(ChannelShardTest, DriftMarginReachesAReceiverThatMovedIntoRange) {
+  // Four 600 m strips over [0, 2400]. At the rebucket (the first transmit,
+  // t = 0) the receiver sits at x = 1205 in strip 2, 565 m from the
+  // sender and beyond its 550.6 m radius, whose reach ends at 1190.6 in
+  // strip 1. It closes in at its certified 40 m/s; at t = 0.9 s, before
+  // the next rebucket, it is 529 m off and in range, yet still bucketed
+  // in strip 2. Only the drift margin (40 m/s x 0.9 s) stretches the
+  // query into that strip.
+  struct Approach final : netsim::MobilityModel {
+    Vec2 position(SimTime at) const override {
+      return {1205.0 - 40.0 * at.sec(), 0.0};
+    }
+    Vec2 velocity(SimTime) const override { return {-40.0, 0.0}; }
+  };
 
-  // Binding after the fact re-publishes the activity so far.
-  obs::StatsRegistry registry;
-  f.channel.bind_shard_stats(registry);
-  const obs::StatsSnapshot snap = registry.snapshot();
-  EXPECT_GE(snap.counter("shard.lbts_epochs"), 1u);
-  EXPECT_GT(snap.counter("shard.refresh.nodes"), 0u);
+  ShardFixture f;
+  f.channel.configure_shards(ShardPlan{0.0, 2400.0, 40.0});
+  WifiPhy& tx = f.add_radio({640, 0});
+  Approach approach;
+  WifiPhy rx(f.sim, 9, &approach);
+  Channel::Attachment link = f.channel.attach(&rx);
+  int sensed = 0;  // carrier-sense onsets: the frame reached the radio
+  rx.set_cca_callback([&sensed](bool busy) { sensed += busy ? 1 : 0; });
+
+  tx.transmit(Packet(64));
+  f.sim.run();
+  EXPECT_EQ(f.channel.strips(), 4u);
+  EXPECT_EQ(sensed, 0);
+
+  f.sim.run_until(SimTime::from_seconds(0.9));
+  tx.transmit(Packet(64));
+  f.sim.run();
+  EXPECT_EQ(sensed, 1);
 }
 
 TEST(ChannelShardTest, AttachChurnInvalidatesAndRecovers) {
   ShardFixture f;
-  f.channel.configure_shards(ShardFixture::plan(4, 0.0, 2000.0));
+  f.channel.configure_shards(ShardFixture::plan(0.0, 2000.0));
   WifiPhy& tx = f.add_radio({500, 0});
   f.add_radio({600, 0});
   EXPECT_EQ(f.count_deliveries(tx), 1);
-  // Churn: a new radio appears, another leaves; the next transmit must
-  // rebucket (fresh epoch) and keep delivering correctly.
+  // Churn within the same epoch: two radios appear (one across the
+  // x = 666.7 strip boundary), another leaves. The next transmit must
+  // rebucket, or the newcomers belong to no strip and the departed radio
+  // is still a member.
   f.add_radio({650, 0});
+  f.add_radio({720, 0});
   f.links[1].detach();
-  const std::uint64_t epochs_before = f.channel.shard_diagnostics().epochs;
-  EXPECT_EQ(f.count_deliveries(tx), 1);  // only the new radio remains in range
-  EXPECT_GT(f.channel.shard_diagnostics().epochs, epochs_before);
+  EXPECT_EQ(f.count_deliveries(tx), 2);  // exactly the two newcomers
 }
 
 TEST(ChannelShardTest, OneStripToleratesTimePureTeleports) {
@@ -216,7 +236,7 @@ TEST(ChannelShardTest, OneStripToleratesTimePureTeleports) {
   ASSERT_NO_THROW(home.transmit(Packet(64)));  // nobody left in range
   f.sim.run();
   EXPECT_TRUE(heard.empty());
-  EXPECT_EQ(f.channel.shard_diagnostics().strips, 1u);
+  EXPECT_EQ(f.channel.strips(), 1u);
 }
 
 }  // namespace

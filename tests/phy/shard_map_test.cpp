@@ -25,7 +25,7 @@ TEST(ShardMapTest, UnconfiguredIsInert) {
 
 TEST(ShardMapTest, StripOfXClampsToPartition) {
   ShardMap map;
-  map.configure(4, 0.0, 1000.0, 1.0, 10.0);
+  map.configure(4, 0.0, 1000.0, 10.0);
   EXPECT_EQ(map.strips(), 4u);
   EXPECT_EQ(map.strip_of_x(-50.0), 0u);    // below x_min
   EXPECT_EQ(map.strip_of_x(0.0), 0u);
@@ -36,12 +36,11 @@ TEST(ShardMapTest, StripOfXClampsToPartition) {
 
 TEST(ShardMapTest, RebucketAssignsMembersInAscendingSlotOrder) {
   ShardMap map;
-  map.configure(2, 0.0, 1000.0, 1.0, 10.0);
+  map.configure(2, 0.0, 1000.0, 10.0);
   const std::vector<Vec2> positions{{900, 0}, {100, 0}, {800, 0}, {200, 0}};
   const std::vector<std::uint8_t> live{1, 1, 1, 1};
   EXPECT_TRUE(map.needs_rebucket(SimTime::zero()));
   map.rebucket(SimTime::zero(), positions, live);
-  EXPECT_EQ(map.epochs(), 1u);
   EXPECT_FALSE(map.needs_rebucket(SimTime::zero()));
   EXPECT_EQ(map.strip_of_slot(0), 1u);
   EXPECT_EQ(map.strip_of_slot(1), 0u);
@@ -51,7 +50,7 @@ TEST(ShardMapTest, RebucketAssignsMembersInAscendingSlotOrder) {
 
 TEST(ShardMapTest, DeadSlotsGetNoStrip) {
   ShardMap map;
-  map.configure(2, 0.0, 100.0, 1.0, 0.0);
+  map.configure(2, 0.0, 100.0, 0.0);
   const std::vector<Vec2> positions{{10, 0}, {90, 0}};
   const std::vector<std::uint8_t> live{1, 0};
   map.rebucket(SimTime::zero(), positions, live);
@@ -62,17 +61,17 @@ TEST(ShardMapTest, DeadSlotsGetNoStrip) {
 
 TEST(ShardMapTest, EpochElapsingForcesRebucket) {
   ShardMap map;
-  map.configure(2, 0.0, 100.0, 0.5, 0.0);
+  map.configure(2, 0.0, 100.0, 0.0);
   const std::vector<Vec2> positions{{10, 0}};
   const std::vector<std::uint8_t> live{1};
   map.rebucket(SimTime::zero(), positions, live);
-  EXPECT_FALSE(map.needs_rebucket(SimTime::from_seconds(0.4)));
-  EXPECT_TRUE(map.needs_rebucket(SimTime::from_seconds(0.5)));
+  EXPECT_FALSE(map.needs_rebucket(SimTime::from_seconds(0.9)));
+  EXPECT_TRUE(map.needs_rebucket(SimTime::from_seconds(1.0)));
 }
 
 TEST(ShardMapTest, MarginGrowsWithElapsedTimeAndSpeed) {
   ShardMap map;
-  map.configure(2, 0.0, 1000.0, 1.0, 20.0);
+  map.configure(2, 0.0, 1000.0, 20.0);
   const std::vector<Vec2> positions{{10, 0}};
   const std::vector<std::uint8_t> live{1};
   map.rebucket(2_s, positions, live);
@@ -85,7 +84,7 @@ TEST(ShardMapTest, SpeedBoundViolationThrows) {
   // broken certificate (e.g. an unexpected teleport) — fail loudly rather
   // than silently missing deliveries.
   ShardMap map;
-  map.configure(2, 0.0, 1000.0, 1.0, 5.0);
+  map.configure(2, 0.0, 1000.0, 5.0);
   std::vector<Vec2> positions{{10, 0}};
   const std::vector<std::uint8_t> live{1};
   map.rebucket(SimTime::zero(), positions, live);
@@ -95,7 +94,7 @@ TEST(ShardMapTest, SpeedBoundViolationThrows) {
 
 TEST(ShardMapTest, BoundedDriftRebucketsCleanly) {
   ShardMap map;
-  map.configure(2, 0.0, 1000.0, 1.0, 5.0);
+  map.configure(2, 0.0, 1000.0, 5.0);
   std::vector<Vec2> positions{{498, 0}};
   const std::vector<std::uint8_t> live{1};
   map.rebucket(SimTime::zero(), positions, live);
@@ -103,14 +102,13 @@ TEST(ShardMapTest, BoundedDriftRebucketsCleanly) {
   positions[0] = {502, 0};  // 4 m in 1 s, crosses the strip boundary
   map.rebucket(1_s, positions, live);
   EXPECT_EQ(map.strip_of_slot(0), 1u);
-  EXPECT_EQ(map.epochs(), 2u);
 }
 
 TEST(ShardMapTest, InvalidateSkipsDriftVerification) {
   // After churn there is no trusted anchor; the next rebucket must accept
   // any placement instead of throwing.
   ShardMap map;
-  map.configure(2, 0.0, 1000.0, 1.0, 5.0);
+  map.configure(2, 0.0, 1000.0, 5.0);
   std::vector<Vec2> positions{{10, 0}};
   const std::vector<std::uint8_t> live{1};
   map.rebucket(SimTime::zero(), positions, live);
@@ -125,7 +123,7 @@ TEST(ShardMapTest, SingleStripSkipsDriftVerification) {
   // One strip has no boundary to cross, so an 890 m jump against a 5 m/s
   // bound is accepted instead of throwing.
   ShardMap map;
-  map.configure(1, 0.0, 0.0, 1.0, 5.0);
+  map.configure(1, 0.0, 0.0, 5.0);
   std::vector<Vec2> positions{{10, 0}};
   const std::vector<std::uint8_t> live{1};
   map.rebucket(SimTime::zero(), positions, live);

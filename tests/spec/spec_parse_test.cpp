@@ -84,20 +84,17 @@ TEST(SpecParseTest, PhyIndexKeyIsRejectedAsUnknown) {
 }
 
 TEST(SpecParseTest, EngineParallelParsesAndDefaults) {
+  // shards and threads stay accepted so existing specs remain valid; the
+  // channel derives its own strip count, so shards is read and dropped.
   const CampaignSpec plain = parse_campaign(
       R"({"name": "t", "kind": "campaign", "scenario": {}})", "test.json");
-  EXPECT_EQ(plain.scenario.config.parallel.shards, 1);
   EXPECT_EQ(plain.scenario.config.parallel.threads, 1);
-  EXPECT_DOUBLE_EQ(plain.scenario.config.parallel.epoch_s, 1.0);
 
   const CampaignSpec parallel = parse_campaign(R"({
     "name": "t", "kind": "campaign",
-    "scenario": {"engine": {"parallel":
-        {"shards": 4, "threads": 2, "epoch_s": 0.5}}}
+    "scenario": {"engine": {"parallel": {"shards": 4, "threads": 2}}}
   })", "test.json");
-  EXPECT_EQ(parallel.scenario.config.parallel.shards, 4);
   EXPECT_EQ(parallel.scenario.config.parallel.threads, 2);
-  EXPECT_DOUBLE_EQ(parallel.scenario.config.parallel.epoch_s, 0.5);
 }
 
 TEST(SpecParseTest, EngineFlatShardKeyIsRejectedAsUnknown) {
@@ -120,13 +117,16 @@ TEST(SpecParseTest, EngineParallelIsRangeChecked) {
             std::string::npos)
       << zero;
 
-  const std::string bad_epoch = error_of(R"({
+  // The rebucket period is the channel's own constant: epoch_s is an
+  // unknown key.
+  const std::string epoch = error_of(R"({
     "name": "t", "kind": "campaign",
-    "scenario": {"engine": {"parallel": {"epoch_s": 0}}}
+    "scenario": {"engine": {"parallel": {"epoch_s": 0.5}}}
   })");
-  EXPECT_NE(bad_epoch.find("$.scenario.engine.parallel.epoch_s"),
+  EXPECT_NE(epoch.find("$.scenario.engine.parallel.epoch_s"),
             std::string::npos)
-      << bad_epoch;
+      << epoch;
+  EXPECT_NE(epoch.find("unknown key"), std::string::npos) << epoch;
 
   const std::string unknown = error_of(R"({
     "name": "t", "kind": "campaign",

@@ -8,7 +8,7 @@ Usage:
         [--tolerance FACTOR] [--filter REGEX] [--min-time SECS]
     bench_check.py --scale --bench-binary build/bench/bench_scale
         [--baseline BENCH_scale.json] [--label LABEL]
-        [--tolerance FACTOR] [--shards N]
+        [--tolerance FACTOR]
     bench_check.py --nas --bench-binary build/bench/bench_micro
         [--baseline BENCH_micro.json] [--label pr3-seed]
         [--min-speedup FACTOR] [--min-time SECS]
@@ -20,13 +20,13 @@ regresses when
 
     fresh_ns > baseline_ns * tolerance
 
---scale mode instead runs `bench_scale --smoke --shards N` in a scratch
-directory (the bench's own shard-equivalence gate runs as part of this)
+--scale mode instead runs `bench_scale --smoke` in a scratch directory
 and compares the throughput of each sweep point, keyed by (protocol,
 vehicles, shards, threads), against the baseline's points. Fresh points
-are always single-threaded; older baselines also hold threaded points,
-which simply find no fresh match. Throughput is better-is-bigger, so a
-point regresses when
+carry neither `shards` nor `threads` and key as (protocol, vehicles, 1,
+1); older baselines also hold sharded and threaded points, which simply
+find no fresh match. Throughput is better-is-bigger, so a point
+regresses when
 
     fresh_events_per_s < baseline_events_per_s / tolerance
 
@@ -119,13 +119,14 @@ def run_bench(binary, filter_regex, min_time):
 
 def point_key(point):
     """(protocol, vehicles, shards, threads) identity of a scale sweep
-    point, or None when the point predates a required key (old baselines
-    lack `shards`; such points are skipped, never failed). Points without
-    `threads` (fresh runs, and baselines recorded before or after the
-    threaded kernel existed) were single-threaded, so it defaults to 1."""
+    point, or None when the point lacks a required key (such points are
+    skipped, never failed). Points without `shards` or `threads` (fresh
+    runs, which set neither knob, and baselines recorded before either
+    existed) ran one requested shard on one thread, so both default to
+    1."""
     protocol = point.get("protocol")
     vehicles = point.get("vehicles")
-    shards = point.get("shards")
+    shards = point.get("shards", 1)
     threads = point.get("threads", 1)
     if not isinstance(protocol, str):
         return None
@@ -167,14 +168,12 @@ def load_scale_baseline(path, label):
     return entry.get("label", "?"), points
 
 
-def run_scale_bench(binary, shards):
-    """Runs bench_scale --smoke (optionally sharded) in a scratch
-    directory and returns its fresh points keyed like the baseline."""
+def run_scale_bench(binary):
+    """Runs bench_scale --smoke in a scratch directory and returns its
+    fresh points keyed like the baseline."""
     binary = os.path.abspath(binary)
     with tempfile.TemporaryDirectory(prefix="bench_check_scale_") as cwd:
         cmd = [binary, "--smoke"]
-        if shards > 1:
-            cmd.append(f"--shards={shards}")
         try:
             proc = subprocess.run(cmd, cwd=cwd, stdout=subprocess.PIPE,
                                   stderr=subprocess.STDOUT, text=True)
@@ -205,13 +204,13 @@ def run_scale_bench(binary, shards):
 
 def check_scale(args):
     label, baseline = load_scale_baseline(args.baseline, args.label)
-    fresh = run_scale_bench(args.bench_binary, args.shards)
+    fresh = run_scale_bench(args.bench_binary)
 
     print(f"baseline: {args.baseline} [{label}]  tolerance x{args.tolerance}")
     regressions = []
     for key in sorted(fresh):
-        protocol, vehicles, shards, _ = key
-        name = f"{protocol} N={vehicles} shards={shards}"
+        protocol, vehicles, _, _ = key
+        name = f"{protocol} N={vehicles}"
         fresh_rate = fresh[key]
         base_rate = baseline.get(key)
         if base_rate is None:
@@ -278,11 +277,7 @@ def main():
                         help="--benchmark_min_time seconds (default 0.01)")
     parser.add_argument("--scale", action="store_true",
                         help="gate bench_scale throughput per (protocol, "
-                             "vehicles, shards) instead of bench_micro "
-                             "ns/op")
-    parser.add_argument("--shards", type=int, default=4,
-                        help="--scale mode: shard count for the sharded "
-                             "variant of each sweep point (default 4)")
+                             "vehicles) instead of bench_micro ns/op")
     parser.add_argument("--min-speedup", type=float, default=3.0,
                         help="--nas mode: minimum SoA-vs-seed ns/op ratio "
                              "(default 3.0)")
