@@ -19,11 +19,9 @@ int main(int argc, char** argv) {
 
   const std::int64_t hellos_s[] = {1, 2, 4};
   const Protocol protocols[] = {Protocol::kAodv, Protocol::kDymo};
-  runner::EnsembleOptions options;
-  options.jobs = runner::parse_jobs_flag(argc, argv);
-  runner::EnsembleRunner pool(options);
-  const auto results = pool.map<SenderRunResult>(
-      std::size(hellos_s) * std::size(protocols),
+  const int jobs = runner::parse_jobs_flag(argc, argv);
+  const auto results = runner::map<SenderRunResult>(
+      std::size(hellos_s) * std::size(protocols), jobs,
       [&hellos_s, &protocols](runner::ReplicationContext& ctx) {
         TableIConfig config;
         config.protocol = protocols[ctx.index % std::size(protocols)];

@@ -20,11 +20,9 @@ int main(int argc, char** argv) {
 
   const double rates_mbps[] = {1.0, 2.0, 11.0};
   const Protocol protocols[] = {Protocol::kAodv, Protocol::kDymo};
-  runner::EnsembleOptions options;
-  options.jobs = runner::parse_jobs_flag(argc, argv);
-  runner::EnsembleRunner pool(options);
-  const auto results = pool.map<SenderRunResult>(
-      std::size(rates_mbps) * std::size(protocols),
+  const int jobs = runner::parse_jobs_flag(argc, argv);
+  const auto results = runner::map<SenderRunResult>(
+      std::size(rates_mbps) * std::size(protocols), jobs,
       [&rates_mbps, &protocols](runner::ReplicationContext& ctx) {
         TableIConfig config;
         config.protocol = protocols[ctx.index % std::size(protocols)];

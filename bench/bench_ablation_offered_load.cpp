@@ -23,11 +23,9 @@ int main(int argc, char** argv) {
   const Protocol protocols[] = {Protocol::kAodv, Protocol::kOlsr,
                                 Protocol::kDymo};
   const double rates[] = {1.0, 5.0, 15.0, 40.0};
-  runner::EnsembleOptions options;
-  options.jobs = runner::parse_jobs_flag(argc, argv);
-  runner::EnsembleRunner pool(options);
-  const auto results = pool.map<SenderRunResult>(
-      std::size(protocols) * std::size(rates),
+  const int jobs = runner::parse_jobs_flag(argc, argv);
+  const auto results = runner::map<SenderRunResult>(
+      std::size(protocols) * std::size(rates), jobs,
       [&protocols, &rates](runner::ReplicationContext& ctx) {
         TableIConfig config;
         config.protocol = protocols[ctx.index / std::size(rates)];

@@ -30,11 +30,9 @@ int main(int argc, char** argv) {
   };
   const Protocol protocols[] = {Protocol::kAodv, Protocol::kDymo};
 
-  runner::EnsembleOptions options;
-  options.jobs = runner::parse_jobs_flag(argc, argv);
-  runner::EnsembleRunner pool(options);
-  const auto results = pool.map<SenderRunResult>(
-      std::size(cases) * std::size(protocols),
+  const int jobs = runner::parse_jobs_flag(argc, argv);
+  const auto results = runner::map<SenderRunResult>(
+      std::size(cases) * std::size(protocols), jobs,
       [&cases, &protocols](runner::ReplicationContext& ctx) {
         TableIConfig config;
         config.protocol = protocols[ctx.index % std::size(protocols)];

@@ -21,11 +21,10 @@ int main(int argc, char** argv) {
   const netsim::NodeId senders[] = {2u, 4u, 6u, 8u};
   // One replication per (sender, rts_cts); run_table1 derives its streams
   // from config.seed exactly as the serial loop did.
-  runner::EnsembleOptions options;
-  options.jobs = runner::parse_jobs_flag(argc, argv);
-  runner::EnsembleRunner pool(options);
-  const auto results = pool.map<SenderRunResult>(
-      std::size(senders) * 2, [&senders](runner::ReplicationContext& ctx) {
+  const int jobs = runner::parse_jobs_flag(argc, argv);
+  const auto results = runner::map<SenderRunResult>(
+      std::size(senders) * 2, jobs,
+      [&senders](runner::ReplicationContext& ctx) {
         TableIConfig config;
         config.protocol = Protocol::kAodv;
         config.seed = 3;

@@ -46,11 +46,10 @@ int main(int argc, char** argv) {
   const double rhos[] = {0.1, 0.2, 0.3, 0.5, 0.7, 0.9};
   // One replication per (density, update rule); mean_flow seeds its own
   // Rng(12) exactly as the serial loop did, so the table is unchanged.
-  cavenet::runner::EnsembleOptions options;
-  options.jobs = cavenet::runner::parse_jobs_flag(argc, argv);
-  cavenet::runner::EnsembleRunner pool(options);
-  const auto flows = pool.map<double>(
-      std::size(rhos) * 2, [&rhos](cavenet::runner::ReplicationContext& ctx) {
+  const int jobs = cavenet::runner::parse_jobs_flag(argc, argv);
+  const auto flows = cavenet::runner::map<double>(
+      std::size(rhos) * 2, jobs,
+      [&rhos](cavenet::runner::ReplicationContext& ctx) {
         return mean_flow(/*sequential=*/ctx.index % 2 == 1,
                          rhos[ctx.index / 2], 0.0);
       });

@@ -73,11 +73,9 @@ int main(int argc, char** argv) {
       {"d", 0.5, 0.0, 400, "fig5d_space_time.csv"},
   };
 
-  runner::EnsembleOptions options;
-  options.jobs = runner::parse_jobs_flag(argc, argv);
-  runner::EnsembleRunner pool(options);
-  const auto rendered = pool.map<std::string>(
-      std::size(panels),
+  const int jobs = runner::parse_jobs_flag(argc, argv);
+  const auto rendered = runner::map<std::string>(
+      std::size(panels), jobs,
       [&panels](runner::ReplicationContext& ctx) {
         return render_panel(panels[ctx.index]);
       });

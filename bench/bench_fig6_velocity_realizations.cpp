@@ -34,11 +34,9 @@ int main(int argc, char** argv) {
   TableWriter table({"rho", "mean v (tail)", "min v", "max v",
                      "transient tau [steps]", "MSER-5 cut"});
   const double densities[] = {0.1, 0.5};
-  runner::EnsembleOptions pool_options;
-  pool_options.jobs = runner::parse_jobs_flag(argc, argv);
-  runner::EnsembleRunner pool(pool_options);
-  const auto series_by_density = pool.map<std::vector<double>>(
-      2, [&params, &densities](runner::ReplicationContext& ctx) {
+  const int jobs = runner::parse_jobs_flag(argc, argv);
+  const auto series_by_density = runner::map<std::vector<double>>(
+      2, jobs, [&params, &densities](runner::ReplicationContext& ctx) {
         // Seed 6 for both densities, exactly as the serial version ran.
         return velocity_series(params, densities[ctx.index], 5000, 6);
       });

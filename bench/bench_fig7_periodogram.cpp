@@ -49,11 +49,9 @@ int main(int argc, char** argv) {
     double slope = 0.0;
     double hurst = 0.0;
   };
-  runner::EnsembleOptions pool_options;
-  pool_options.jobs = runner::parse_jobs_flag(argc, argv);
-  runner::EnsembleRunner pool(pool_options);
-  const auto results = pool.map<CaseResult>(
-      std::size(cases),
+  const int jobs = runner::parse_jobs_flag(argc, argv);
+  const auto results = runner::map<CaseResult>(
+      std::size(cases), jobs,
       [&cases, params](runner::ReplicationContext& ctx) {
         // Seed 7 for every case, exactly as the serial version ran.
         NasParams case_params = params;

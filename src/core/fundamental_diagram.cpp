@@ -15,20 +15,17 @@ std::vector<FundamentalDiagramPoint> fundamental_diagram(
   const std::size_t densities = options.densities.size();
   const auto trials = static_cast<std::size_t>(options.trials);
 
-  // One replication per (density, trial) pair, fanned out over the
-  // ensemble pool. The per-trial RNG stream is keyed on (seed, density
+  // One replication per (density, trial) pair, fanned out with
+  // runner::map. The per-trial RNG stream is keyed on (seed, density
   // index, trial) exactly as the serial loop always was, so the sweep is
   // reproducible and independent of worker count and schedule.
   struct TrialMeans {
     double flow = 0.0;
     double velocity = 0.0;
   };
-  runner::EnsembleOptions pool_options;
-  pool_options.jobs = options.jobs;
-  pool_options.master_seed = options.seed;
-  runner::EnsembleRunner pool(pool_options);
-  const std::vector<TrialMeans> means = pool.map<TrialMeans>(
-      densities * trials, [&options, trials](runner::ReplicationContext& ctx) {
+  const std::vector<TrialMeans> means = runner::map<TrialMeans>(
+      densities * trials, options.jobs,
+      [&options, trials](runner::ReplicationContext& ctx) {
         const std::size_t d = ctx.index / trials;
         const std::size_t trial = ctx.index % trials;
         const double rho = options.densities[d];

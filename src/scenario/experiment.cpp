@@ -24,14 +24,9 @@ SeedSweepResult run_seed_sweep(TableIConfig config,
                                std::span<const std::uint64_t> seeds,
                                int jobs) {
   obs::StatsRegistry* const shared_stats = config.obs.stats;
-  runner::EnsembleOptions options;
-  options.jobs = config.obs.has_serial_sink() ? 1 : jobs;
-  options.master_seed = seeds.empty() ? config.seed : seeds.front();
-  runner::EnsembleRunner pool(options);
-
   SeedSweepResult result;
-  result.runs = pool.map<SenderRunResult>(
-      seeds.size(),
+  result.runs = runner::map<SenderRunResult>(
+      seeds.size(), config.obs.has_serial_sink() ? 1 : jobs,
       [&config, shared_stats, seeds](runner::ReplicationContext& ctx) {
         TableIConfig run = config;
         run.seed = seeds[ctx.index];

@@ -33,8 +33,8 @@ struct SeedSweepResult {
 };
 
 /// Runs `config` once per seed (overriding config.seed) and aggregates.
-/// `jobs` fans the replications across an EnsembleRunner pool (<= 0 means
-/// one worker per hardware thread); every aggregate and the `runs` vector
+/// `jobs` fans the replications out with runner::map (<= 0 means one
+/// lane per hardware thread); every aggregate and the `runs` vector
 /// are bitwise-identical for any jobs value. Configs wiring a shared
 /// packet_log / trace_sink / profiler run serially (single-writer sinks).
 SeedSweepResult run_seed_sweep(TableIConfig config,

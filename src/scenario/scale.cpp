@@ -74,15 +74,12 @@ std::vector<ScaleRunResult> run_scale_sweep(std::span<const ScaleConfig> sweep,
   for (const ScaleConfig& config : sweep) {
     serial = serial || config.obs.has_serial_sink();
   }
-  runner::EnsembleOptions options;
-  options.jobs = serial ? 1 : jobs;
-  options.master_seed = sweep.empty() ? 1 : sweep.front().seed;
-  runner::EnsembleRunner pool(options);
   // Each point snapshots its own registry into the result, so nothing is
   // merged across points (mixing N=30 and N=1000 counters would make the
   // aggregate meaningless).
-  return pool.map<ScaleRunResult>(
-      sweep.size(), [&sweep](runner::ReplicationContext& ctx) {
+  return runner::map<ScaleRunResult>(
+      sweep.size(), serial ? 1 : jobs,
+      [&sweep](runner::ReplicationContext& ctx) {
         return run_scale(sweep[ctx.index]);
       });
 }

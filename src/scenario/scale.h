@@ -70,11 +70,11 @@ struct ScaleRunResult {
 /// the wall-clock fields.
 ScaleRunResult run_scale(const ScaleConfig& config);
 
-/// Runs a sweep of scale points, fanned across an EnsembleRunner pool
-/// (`jobs` <= 0 means one worker per hardware thread). Results are in
-/// config order and bitwise-identical for every jobs value (wall-clock
-/// fields aside). Configs wiring a serial sink (packet log, trace,
-/// profiler) force jobs = 1.
+/// Runs a sweep of scale points, fanned out with runner::map (`jobs`
+/// <= 0 means one lane per hardware thread). Results are in config order
+/// and bitwise-identical for every jobs value (wall-clock fields aside).
+/// Configs wiring a serial sink (packet log, trace, profiler) force
+/// jobs = 1.
 std::vector<ScaleRunResult> run_scale_sweep(std::span<const ScaleConfig> sweep,
                                             int jobs = 1);
 

@@ -334,19 +334,14 @@ std::vector<SenderRunResult> run_all_senders(TableIConfig config,
   obs::StatsRegistry* const shared_stats = config.obs.stats;
   // The packet log, trace sink and profiler are single-writer: a config
   // that wires them runs serially (results are identical either way).
-  runner::EnsembleOptions options;
-  options.jobs = config.obs.has_serial_sink() ? 1 : jobs;
-  options.master_seed = config.seed;
-  runner::EnsembleRunner pool(options);
-  return pool.map<SenderRunResult>(
-      n,
+  return runner::map<SenderRunResult>(
+      n, config.obs.has_serial_sink() ? 1 : jobs,
       [&config, shared_stats, first](runner::ReplicationContext& ctx) {
         TableIConfig run = config;
         run.sender = first + static_cast<NodeId>(ctx.index);
-        // The scenario seeds every component stream from run.seed, so the
-        // runner's ctx.rng is not consumed here; the per-replication
-        // registry stands in for the caller's shared one and is merged
-        // back in sender order.
+        // The scenario seeds every component stream from run.seed; the
+        // per-replication registry stands in for the caller's shared one
+        // and is merged back in sender order.
         run.obs.stats = shared_stats != nullptr ? ctx.stats : nullptr;
         return run_table1(run);
       },

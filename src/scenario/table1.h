@@ -133,11 +133,11 @@ SenderRunResult run_table1(const TableIConfig& config);
 /// Runs senders 1..8 (paper setup) over the same mobility pattern, one
 /// scenario per sender as the paper does.
 ///
-/// `jobs` fans the per-sender runs out over an EnsembleRunner worker
-/// pool (<= 0 means one per hardware thread). Results and any stats
-/// published into config.obs.stats are bitwise-identical for every jobs
-/// value: each run draws from its own seed-derived streams and the
-/// per-run registries merge in sender order. When config wires a shared
+/// `jobs` fans the per-sender runs out with runner::map (<= 0 means one
+/// lane per hardware thread). Results and any stats published into
+/// config.obs.stats are bitwise-identical for every jobs value: each run
+/// draws from its own seed-derived streams and the per-run registries
+/// merge in sender order. When config wires a shared
 /// packet_log / trace_sink / profiler, the runs fall back to serial —
 /// those sinks are single-writer by design.
 std::vector<SenderRunResult> run_all_senders(TableIConfig config,

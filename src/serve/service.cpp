@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "obs/json.h"
+#include "runner/ensemble.h"
 #include "spec/engine.h"
 #include "spec/figures.h"
 
@@ -119,27 +120,26 @@ JobService::JobService(ServiceOptions options) : options_(std::move(options)) {
       (fs::path(options_.state_dir) / "cache").string());
   journal_ = std::make_unique<Journal>(
       (fs::path(options_.state_dir) / "journal.jsonl").string());
-  if (options_.executor != nullptr) {
-    executor_ = options_.executor;
-  } else {
-    owned_executor_ = std::make_unique<exec::ThreadPoolExecutor>(
-        exec::resolve_workers(options_.workers));
-    executor_ = owned_executor_.get();
-  }
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
     replay_locked();
   }
 
-  pump_ = std::thread([this] { worker_loop(); });
-
+  // The server binds before any worker starts, so an unusable port
+  // throws with no thread left to join.
   HttpServerOptions http_options;
   http_options.port = options_.http_port;
   http_options.max_body_bytes = options_.max_body_bytes;
   http_ = std::make_unique<HttpServer>(
       [this](const HttpRequest& request) { return handle(request); },
       http_options);
+
+  const int workers = runner::resolve_jobs(options_.workers);
+  workers_.reserve(static_cast<std::size_t>(workers));
+  for (int i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
+  }
 }
 
 JobService::~JobService() { stop(); }
@@ -155,17 +155,14 @@ void JobService::stop() {
   // journal replay on the next start re-enqueues their pending units.
   if (http_) http_->stop();
   queue_.shutdown();
-  if (pump_.joinable()) pump_.join();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 void JobService::worker_loop() {
-  const std::size_t lanes = static_cast<std::size_t>(executor_->workers());
-  // Each pool lane runs a claim loop until shutdown. The Executor only
-  // decides where the loops run; fairness across jobs is the queue's.
-  executor_->parallel_for(lanes, 1, [this](std::size_t) {
-    WorkItem item;
-    while (queue_.pop(&item)) execute_unit(item);
-  });
+  // Each worker claims units until shutdown; fairness across jobs is the
+  // queue's.
+  WorkItem item;
+  while (queue_.pop(&item)) execute_unit(item);
 }
 
 std::string JobService::job_dir_locked(const std::string& job_id) const {
@@ -203,7 +200,8 @@ void JobService::enqueue_pending_locked(const std::shared_ptr<Job>& job) {
     progress_options.stall_after_s =
         options_.heartbeat_period_s > 0 ? options_.heartbeat_period_s * 6 : 0;
     job->progress = std::make_shared<runner::ProgressStream>(
-        job->units_total, executor_->workers(), progress_options);
+        job->units_total, runner::resolve_jobs(options_.workers),
+        progress_options);
   }
   std::vector<std::size_t> pending;
   for (std::size_t unit = 0; unit < job->units_total; ++unit) {
@@ -374,6 +372,8 @@ void JobService::execute_unit(const WorkItem& item) {
     job->progress->point_resumed(item.unit, unit_name);
   } else {
     job->progress->point_started(item.unit, unit_name);
+    // A failed simulation or cache store fails this job, never the
+    // worker: it goes on claiming other units.
     try {
       if (job->whole_spec) {
         int rc = 0;
@@ -393,6 +393,7 @@ void JobService::execute_unit(const WorkItem& item) {
         files = artifacts.files;
         events = artifacts.events_dispatched;
       }
+      stored_bytes = cache_->store(key, dir, files);
     } catch (const std::exception& error) {
       job->progress->point_failed(item.unit, unit_name, error.what());
       std::lock_guard<std::mutex> lock(mutex_);
@@ -400,7 +401,6 @@ void JobService::execute_unit(const WorkItem& item) {
                            unit_name + "): " + error.what());
       return;
     }
-    stored_bytes = cache_->store(key, dir, files);
     job->progress->point_finished(item.unit, unit_name, events);
   }
 
@@ -439,8 +439,13 @@ void JobService::finalize_locked(const std::shared_ptr<Job>& job) {
     // Rebuild the campaign CSV/summary from the on-disk point manifests
     // — the same single writer cavenet-run uses, so fresh, cached and
     // crash-resumed jobs all serialize byte-identically.
-    spec::write_campaign_outputs(job->spec, job->points,
-                                 job_dir_locked(job->id));
+    try {
+      spec::write_campaign_outputs(job->spec, job->points,
+                                   job_dir_locked(job->id));
+    } catch (const std::exception& error) {
+      fail_locked(job, "finalizing " + job->spec.name + ": " + error.what());
+      return;
+    }
     job->files.push_back(job->spec.outputs.csv);
     job->files.push_back(job->spec.outputs.manifest);
   }

@@ -6,7 +6,7 @@
 //   journal   crash-safe job state (replayed on start, like --resume)
 //   queue     fair round-robin over each job's pending units
 //   cache     content-addressed results keyed on spec fingerprints
-//   workers   an exec::Executor pool pulling units off the queue
+//   workers   plain threads, each claiming units off the queue
 //
 // A "unit" is one campaign point (campaign kind) or the whole spec
 // (figure kinds, which the engine runs as one deterministic workload).
@@ -37,14 +37,13 @@
 #include "serve/journal.h"
 #include "serve/queue.h"
 #include "spec/campaign.h"
-#include "util/executor.h"
 
 namespace cavenet::serve {
 
 struct ServiceOptions {
   /// Durable root: journal.jsonl, cache/, jobs/<id>/ live here.
   std::string state_dir;
-  /// Worker lanes pulling units (<= 0 resolves to hardware threads).
+  /// Worker threads pulling units (<= 0 resolves to hardware threads).
   int workers = 2;
   /// HTTP port on 127.0.0.1; 0 binds an ephemeral port.
   int http_port = 0;
@@ -55,10 +54,6 @@ struct ServiceOptions {
   /// Per-job progress heartbeat/stall period; <= 0 disables the watchdog
   /// (tests); the daemon uses a few seconds.
   double heartbeat_period_s = 0.0;
-  /// Optional externally-owned worker pool; the service builds its own
-  /// ThreadPoolExecutor(workers) when null. This is the pluggable seam:
-  /// an InlineExecutor serializes execution for deterministic tests.
-  exec::Executor* executor = nullptr;
 };
 
 /// Job lifecycle, journaled at every transition.
@@ -68,8 +63,8 @@ std::string_view to_string(JobState state) noexcept;
 
 class JobService {
  public:
-  /// Replays the journal (recovering interrupted jobs), starts the
-  /// worker pool and the HTTP server. Throws on an unusable state dir or
+  /// Replays the journal (recovering interrupted jobs), starts the HTTP
+  /// server and the worker threads. Throws on an unusable state dir or
   /// port.
   explicit JobService(ServiceOptions options);
   /// stop()s. Like a crash, stopping writes no terminal records: pending
@@ -153,10 +148,7 @@ class JobService {
   std::unique_ptr<Journal> journal_;
   std::unique_ptr<ResultCache> cache_;
   FairQueue queue_;
-  std::unique_ptr<exec::Executor> owned_executor_;
-  exec::Executor* executor_ = nullptr;
   std::unique_ptr<HttpServer> http_;
-  std::thread pump_;
 
   mutable std::mutex mutex_;
   mutable std::condition_variable jobs_cv_;  ///< notified on terminal states
@@ -167,6 +159,9 @@ class JobService {
 
   // serve.* metrics (single-threaded registry, guarded by mutex_).
   mutable obs::StatsRegistry stats_;
+
+  // Last: the threads use every member above; stop() joins them.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace cavenet::serve

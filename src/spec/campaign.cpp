@@ -333,13 +333,10 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
   }
   outcome.points_run = pending.size();
 
-  runner::EnsembleOptions ensemble_options;
-  ensemble_options.jobs = options.jobs;
-  ensemble_options.master_seed = spec.scenario.config.seed;
-  runner::EnsembleRunner pool(ensemble_options);
   std::mutex stdout_mutex;
   std::vector<PointFailure> failures;
-  pool.for_each(pending.size(), [&](runner::ReplicationContext& ctx) {
+  runner::for_each(pending.size(), options.jobs,
+                   [&](runner::ReplicationContext& ctx) {
     const CampaignPoint& point = points[pending[ctx.index]];
     const std::string point_name =
         spec.name + "[" + std::to_string(point.index) + "]";
@@ -352,8 +349,8 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
     } catch (const std::exception& e) {
       // A failed point must not abort the sweep: the other points'
       // checkpoints still land (so --resume re-runs only the failures),
-      // and every failure is reported — with its point id — after the
-      // pool drains.
+      // and every failure is reported — with its point id — after every
+      // point ran.
       if (options.progress != nullptr) {
         options.progress->point_failed(point.index, point_name, e.what());
       }

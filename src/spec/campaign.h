@@ -1,5 +1,5 @@
 // The campaign runner: expands a spec's sweep grid into deterministic,
-// checkpointed points and executes them over an ensemble worker pool.
+// checkpointed points and executes them on runner::for_each lanes.
 //
 // Expansion is the cartesian product of the sweep axes (first axis
 // slowest) times `replications`. Each point patches the base scenario
@@ -65,7 +65,7 @@ struct PointFailure {
   std::string error;
 };
 
-/// Thrown by run_campaign after the worker pool drains when one or more
+/// Thrown by run_campaign after every point ran when one or more
 /// points failed. The message names every offending point id (so
 /// cavenet-run's non-zero exit prints them), and the structured list is
 /// available for programmatic callers (the job server marks the job
@@ -95,7 +95,7 @@ struct PointArtifacts {
 
 /// Runs one expanded point and writes its checkpoint manifest (and
 /// telemetry stream) under `output_dir`. This is the single-point body
-/// both run_campaign and the cavenet-serve worker pool execute, so
+/// both run_campaign and the cavenet-serve workers execute, so
 /// server-run points are byte-identical to cavenet-run's by
 /// construction. Throws on simulation or write failure.
 PointArtifacts run_campaign_point(const CampaignSpec& spec,

@@ -1,13 +1,9 @@
 #include "spec/engine.h"
 
-#include <cstdio>
-#include <exception>
 #include <filesystem>
 #include <memory>
 
-#include "runner/ensemble.h"
 #include "runner/progress.h"
-#include "util/cli_args.h"
 #include "spec/campaign.h"
 #include "spec/figures.h"
 
@@ -52,21 +48,6 @@ int run_spec(const CampaignSpec& spec, const RunOptions& options) {
 
 int run_spec_file(const std::string& path, const RunOptions& options) {
   return run_spec(load_campaign_file(path), options);
-}
-
-int bench_spec_main(const std::string& path, int argc,
-                    const char* const* argv) {
-  try {
-    const CliArgs args(argc, argv);
-    RunOptions options;
-    options.jobs =
-        runner::resolve_jobs(static_cast<int>(args.get_int("jobs", 1)));
-    args.reject_unknown_flags();
-    return run_spec_file(path, options);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
 }
 
 }  // namespace cavenet::spec

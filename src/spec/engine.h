@@ -1,5 +1,5 @@
-// Spec execution entry points: kind dispatch plus the shared main the
-// thin bench wrappers use.
+// Spec execution entry point: runs a loaded spec by dispatching on its
+// kind (cavenet-run's path).
 #ifndef CAVENET_SPEC_ENGINE_H
 #define CAVENET_SPEC_ENGINE_H
 
@@ -29,12 +29,6 @@ int run_spec(const CampaignSpec& spec, const RunOptions& options);
 
 /// load_campaign_file + run_spec.
 int run_spec_file(const std::string& path, const RunOptions& options);
-
-/// Shared main for the migrated bench binaries: parses `--jobs N` (the
-/// only flag; typos abort with a did-you-mean diagnostic), runs the spec
-/// at `path`, and reports any failure on stderr. Returns the exit code.
-int bench_spec_main(const std::string& path, int argc,
-                    const char* const* argv);
 
 }  // namespace cavenet::spec
 

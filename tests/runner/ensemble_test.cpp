@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdint>
-#include <numeric>
+#include <chrono>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@ TEST(ResolveJobsTest, PositiveValuesPassThrough) {
 TEST(ResolveJobsTest, NonPositiveMeansHardwareThreadsNeverLessThanOne) {
   EXPECT_GE(resolve_jobs(0), 1);
   EXPECT_GE(resolve_jobs(-3), 1);
+  EXPECT_EQ(resolve_jobs(0), resolve_jobs(-7));
 }
 
 TEST(ParseJobsFlagTest, DefaultsToSerial) {
@@ -47,80 +50,66 @@ TEST(ParseJobsFlagTest, UnknownFlagThrows) {
 
 TEST(EnsembleRunnerTest, MapReturnsResultsInReplicationOrder) {
   for (const int jobs : {1, 4}) {
-    EnsembleOptions options;
-    options.jobs = jobs;
-    EnsembleRunner pool(options);
-    const auto out = pool.map<std::size_t>(
-        100, [](ReplicationContext& ctx) { return ctx.index * 10; });
+    const auto out = map<std::size_t>(
+        100, jobs, [](ReplicationContext& ctx) { return ctx.index * 10; });
     ASSERT_EQ(out.size(), 100u);
     for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * 10);
   }
 }
 
 TEST(EnsembleRunnerTest, EveryReplicationRunsExactlyOnce) {
-  EnsembleOptions options;
-  options.jobs = 4;
-  EnsembleRunner pool(options);
-  std::atomic<int> calls{0};
-  std::vector<std::atomic<int>> per_index(57);
-  pool.for_each(57, [&](ReplicationContext& ctx) {
-    ++calls;
-    ++per_index[ctx.index];
-    EXPECT_EQ(ctx.total, 57u);
-    EXPECT_NE(ctx.stats, nullptr);
-  });
-  EXPECT_EQ(calls.load(), 57);
-  for (const auto& c : per_index) EXPECT_EQ(c.load(), 1);
+  for (const int jobs : {1, 4}) {
+    std::atomic<int> calls{0};
+    std::vector<std::atomic<int>> per_index(57);
+    for_each(57, jobs, [&](ReplicationContext& ctx) {
+      ++calls;
+      ++per_index[ctx.index];
+      EXPECT_NE(ctx.stats, nullptr);
+    });
+    EXPECT_EQ(calls.load(), 57) << "jobs=" << jobs;
+    for (const auto& c : per_index) EXPECT_EQ(c.load(), 1) << "jobs=" << jobs;
+  }
 }
 
 TEST(EnsembleRunnerTest, ZeroReplicationsIsANoOp) {
-  EnsembleRunner pool;
   bool called = false;
-  pool.for_each(0, [&](ReplicationContext&) { called = true; });
+  for_each(0, 4, [&](ReplicationContext&) { called = true; });
   EXPECT_FALSE(called);
 }
 
-// The heart of the determinism guarantee: the random draws a replication
-// sees depend only on (master_seed, rng_stream, index), never on the
-// worker count or schedule.
-TEST(EnsembleRunnerTest, ReplicationStreamsAreIndependentOfJobs) {
-  const auto draws_at = [](int jobs) {
-    EnsembleOptions options;
-    options.jobs = jobs;
-    options.master_seed = 99;
-    EnsembleRunner pool(options);
-    return pool.map<std::uint64_t>(
-        32, [](ReplicationContext& ctx) { return ctx.rng.next_u64(); });
-  };
-  const auto serial = draws_at(1);
-  EXPECT_EQ(serial, draws_at(3));
-  EXPECT_EQ(serial, draws_at(8));
-
-  // ... and the 32 streams are mutually distinct.
-  auto sorted = serial;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+TEST(EnsembleRunnerTest, OneJobRunsInlineInIndexOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> seen;
+  for_each(17, 1, [&](ReplicationContext& ctx) {
+    EXPECT_EQ(std::this_thread::get_id(), caller) << "index " << ctx.index;
+    seen.push_back(ctx.index);
+  });
+  ASSERT_EQ(seen.size(), 17u);
+  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
 }
 
-TEST(EnsembleRunnerTest, MasterSeedSelectsTheEnsemble) {
-  const auto first_draw = [](std::uint64_t seed) {
-    EnsembleOptions options;
-    options.master_seed = seed;
-    EnsembleRunner pool(options);
-    return pool.map<std::uint64_t>(
-        1, [](ReplicationContext& ctx) { return ctx.rng.next_u64(); })[0];
-  };
-  EXPECT_NE(first_draw(1), first_draw(2));
+TEST(EnsembleRunnerTest, NeverUsesMoreLanesThanJobs) {
+  for (const int jobs : {2, 4}) {
+    for (const std::size_t n : {std::size_t{3}, std::size_t{64}}) {
+      std::mutex mutex;
+      std::set<std::thread::id> lanes;
+      for_each(n, jobs, [&](ReplicationContext&) {
+        // Long enough that every started lane gets to claim work.
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        const std::lock_guard<std::mutex> lock(mutex);
+        lanes.insert(std::this_thread::get_id());
+      });
+      EXPECT_LE(lanes.size(), std::min(static_cast<std::size_t>(jobs), n))
+          << "jobs=" << jobs << " n=" << n;
+    }
+  }
 }
 
 TEST(EnsembleRunnerTest, MergedStatsAreIdenticalForAnyJobsCount) {
   const auto stats_json_at = [](int jobs) {
-    EnsembleOptions options;
-    options.jobs = jobs;
-    EnsembleRunner pool(options);
     obs::StatsRegistry merged;
-    pool.for_each(
-        20,
+    for_each(
+        20, jobs,
         [](ReplicationContext& ctx) {
           ctx.stats->counter("runs").inc();
           ctx.stats->counter("work.items").inc(ctx.index);
@@ -137,12 +126,9 @@ TEST(EnsembleRunnerTest, MergedStatsAreIdenticalForAnyJobsCount) {
 }
 
 TEST(EnsembleRunnerTest, MergeReproducesSequentialSharedRegistrySemantics) {
-  EnsembleOptions options;
-  options.jobs = 4;
-  EnsembleRunner pool(options);
   obs::StatsRegistry merged;
-  pool.for_each(
-      10,
+  for_each(
+      10, 4,
       [](ReplicationContext& ctx) {
         ctx.stats->counter("total").inc(ctx.index);
         ctx.stats->gauge("last").set(static_cast<double>(ctx.index));
@@ -157,11 +143,8 @@ TEST(EnsembleRunnerTest, MergeReproducesSequentialSharedRegistrySemantics) {
 
 TEST(EnsembleRunnerTest, LowestIndexExceptionWinsDeterministically) {
   for (const int jobs : {1, 4}) {
-    EnsembleOptions options;
-    options.jobs = jobs;
-    EnsembleRunner pool(options);
     try {
-      pool.for_each(16, [](ReplicationContext& ctx) {
+      for_each(16, jobs, [](ReplicationContext& ctx) {
         if (ctx.index == 3 || ctx.index == 7 || ctx.index == 11) {
           throw std::runtime_error("failed at " + std::to_string(ctx.index));
         }
@@ -174,27 +157,21 @@ TEST(EnsembleRunnerTest, LowestIndexExceptionWinsDeterministically) {
 }
 
 TEST(EnsembleRunnerTest, AllReplicationsFinishEvenWhenSomeThrow) {
-  EnsembleOptions options;
-  options.jobs = 4;
-  EnsembleRunner pool(options);
   std::atomic<int> completed{0};
-  EXPECT_THROW(pool.for_each(20,
-                             [&](ReplicationContext& ctx) {
-                               if (ctx.index % 5 == 0) {
-                                 throw std::runtime_error("boom");
-                               }
-                               ++completed;
-                             }),
+  EXPECT_THROW(for_each(20, 4,
+                        [&](ReplicationContext& ctx) {
+                          if (ctx.index % 5 == 0) {
+                            throw std::runtime_error("boom");
+                          }
+                          ++completed;
+                        }),
                std::runtime_error);
   EXPECT_EQ(completed.load(), 16);
 }
 
 TEST(EnsembleRunnerTest, MoreJobsThanReplicationsIsFine) {
-  EnsembleOptions options;
-  options.jobs = 16;
-  EnsembleRunner pool(options);
-  const auto out = pool.map<std::size_t>(
-      3, [](ReplicationContext& ctx) { return ctx.index; });
+  const auto out = map<std::size_t>(
+      3, 16, [](ReplicationContext& ctx) { return ctx.index; });
   EXPECT_EQ(out, (std::vector<std::size_t>{0, 1, 2}));
 }
 

@@ -8,6 +8,7 @@
 //    finished units leaves re-runs ONLY the unfinished units: nothing is
 //    simulated twice, no result is lost, and the final outputs
 //    byte-match;
+//  * a unit whose cache store throws fails its job, not the service;
 //  * the HTTP surface (submit / status / results / events / cancel)
 //    over real sockets.
 #include <algorithm>
@@ -278,6 +279,29 @@ TEST(JobServiceTest, InvalidSubmissionsAreRejectedUpFront) {
   bomb += std::string(32, '[') + "1" + std::string(32, ']') + "}";
   EXPECT_THROW(service.submit(bomb), obs::JsonParseError);
   EXPECT_TRUE(service.job_ids().empty()) << "rejected submissions journaled";
+  service.stop();
+}
+
+TEST(JobServiceTest, CacheStoreFailureFailsTheJobNotTheService) {
+  const fs::path state = fresh_dir("serve_store_failure");
+  JobService service(base_options(state, 2));
+  // Every store stages under <state>/cache/tmp; a regular file in its
+  // place makes each one throw after the unit has simulated.
+  const fs::path stage = state / "cache" / "tmp";
+  fs::remove_all(stage);
+  std::ofstream(stage) << "not a directory";
+
+  const std::string job = service.submit(kOtherJson);
+  ASSERT_TRUE(service.wait(job, 60.0));
+  const obs::JsonValue status = service.job_status(job);
+  EXPECT_EQ(status.find("state")->string, "failed");
+  const obs::JsonValue* error = status.find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_NE(error->string.find("(other_tenant["), std::string::npos)
+      << error->string;
+
+  // The workers survived: the service still validates submissions.
+  EXPECT_THROW(service.submit("{not json"), obs::JsonParseError);
   service.stop();
 }
 

@@ -6,7 +6,7 @@
 //   cavenet-serve ... --port N               HTTP port on 127.0.0.1
 //                                            (default 0 = ephemeral; the
 //                                            bound port is printed)
-//   cavenet-serve ... --workers N            worker lanes (default 2,
+//   cavenet-serve ... --workers N            worker threads (default 2,
 //                                            <= 0 = hardware threads)
 //   cavenet-serve ... --max-body-bytes N     submission size cap
 //   cavenet-serve ... --max-json-depth N     spec JSON nesting cap

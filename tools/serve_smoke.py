@@ -9,7 +9,8 @@ examples/specs/fig8_aodv.json twice, and checks the whole serving story:
   3. both jobs' artifacts are byte-identical to a direct
      `cavenet-run --output-dir` of the same spec;
   4. the daemon restarts on the same state dir and replays both jobs
-     as done without re-running anything.
+     as done without re-running anything;
+  5. every SIGTERM stop is a clean exit (code 0).
 
 Usage: serve_smoke.py <cavenet-serve> <cavenet-run> <fig8_spec.json>
 
@@ -47,23 +48,30 @@ class Daemon:
              "--heartbeat", "0"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         self.port = None
+        self.output = []
         deadline = time.monotonic() + 20
         while time.monotonic() < deadline:
             line = self.process.stdout.readline()
             if not line:
                 break
+            self.output.append(line)
             if "listening on 127.0.0.1:" in line:
                 self.port = int(line.rsplit(":", 1)[1])
                 return
         fail("daemon did not report a listening port")
 
     def stop(self):
+        """SIGTERM, then require a clean exit (code 0) within 20 s."""
         self.process.terminate()
         try:
-            self.process.wait(timeout=20)
+            rest, _ = self.process.communicate(timeout=20)
         except subprocess.TimeoutExpired:
             self.process.kill()
             fail("daemon did not stop on SIGTERM")
+        if self.process.returncode != 0:
+            output = "".join(self.output) + rest
+            fail(f"daemon exited with code {self.process.returncode} on "
+                 f"SIGTERM; its output:\n{output}")
 
 
 def wait_done(port, job_id):
