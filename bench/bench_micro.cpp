@@ -2,17 +2,13 @@
 // stepping, FFT/periodogram, event scheduling, packet copies, and the
 // full MAC frame exchange.
 //
-// --json[=path] additionally records name -> ns/op into BENCH_micro.json
-// (default path), keyed by --json-label=<label>. Entries accumulate in
-// the file, so the checked-in copy carries the perf trajectory across
-// PRs and a regression shows up as a diff.
+// For machine-readable numbers use google-benchmark's own output:
+// `bench_micro --benchmark_out=<file> --benchmark_out_format=json`.
+// BENCH_micro.json at the repo root is frozen history; benchmark/ holds
+// the live end-to-end perf record (benchmark/README.md).
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <fstream>
-#include <map>
-#include <sstream>
-#include <string>
+#include <complex>
 #include <vector>
 
 #include "analysis/fft.h"
@@ -21,7 +17,6 @@
 #include "mac/wifi_mac.h"
 #include "netsim/packet_log.h"
 #include "netsim/scheduler.h"
-#include "obs/json.h"
 #include "obs/stats_registry.h"
 #include "phy/channel.h"
 #include "scenario/table1.h"
@@ -192,124 +187,6 @@ void BM_Table1SecondOfSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_Table1SecondOfSimulation)->Unit(benchmark::kMillisecond);
 
-/// Collects per-benchmark ns/op alongside the normal console output.
-class NsPerOpCollector : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      if (run.iterations == 0) continue;
-      results_[run.benchmark_name()] =
-          run.real_accumulated_time / static_cast<double>(run.iterations) *
-          1e9;
-    }
-    benchmark::ConsoleReporter::ReportRuns(runs);
-  }
-
-  const std::map<std::string, double>& results() const { return results_; }
-
- private:
-  std::map<std::string, double> results_;
-};
-
-/// Rewrites `path` with the collected results under `label`, preserving
-/// every other entry already in the file (same-label entries are
-/// replaced). File shape:
-///   {"entries": [{"label": "...", "results": {"BM_x": 123.4, ...}}, ...]}
-void write_bench_json(const std::string& path, const std::string& label,
-                      const std::map<std::string, double>& results) {
-  std::vector<std::pair<std::string, std::string>> kept;  // label -> raw
-  if (std::ifstream in(path); in.is_open()) {
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const obs::JsonValue doc = obs::parse_json(buf.str());
-    if (const obs::JsonValue* entries = doc.find("entries");
-        entries != nullptr && entries->is_array()) {
-      for (const obs::JsonValue& entry : entries->array) {
-        const obs::JsonValue* entry_label = entry.find("label");
-        const obs::JsonValue* entry_results = entry.find("results");
-        if (entry_label == nullptr || !entry_label->is_string() ||
-            entry_label->string == label || entry_results == nullptr) {
-          continue;
-        }
-        obs::JsonWriter raw;
-        raw.begin_object();
-        for (const auto& [name, value] : entry_results->object) {
-          raw.key(name);
-          raw.value(value.number);
-        }
-        raw.end_object();
-        kept.emplace_back(entry_label->string, raw.str());
-      }
-    }
-  }
-
-  obs::JsonWriter w;
-  w.begin_object();
-  w.key("entries");
-  w.begin_array();
-  for (const auto& [kept_label, kept_results] : kept) {
-    w.begin_object();
-    w.key("label");
-    w.value(kept_label);
-    w.key("results");
-    w.raw(kept_results);
-    w.end_object();
-  }
-  w.begin_object();
-  w.key("label");
-  w.value(label);
-  w.key("results");
-  w.begin_object();
-  for (const auto& [name, ns_per_op] : results) {
-    w.key(name);
-    w.value(ns_per_op);
-  }
-  w.end_object();
-  w.end_object();
-  w.end_array();
-  w.end_object();
-
-  std::ofstream out(path, std::ios::trunc);
-  out << w.str() << '\n';
-  std::fprintf(stderr, "wrote %zu results under label \"%s\" to %s\n",
-               results.size(), label.c_str(), path.c_str());
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path;
-  std::string json_label = "current";
-  bool json_requested = false;
-  // Strip our flags before google-benchmark sees the command line.
-  std::vector<char*> passthrough;
-  passthrough.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--json") {
-      json_requested = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_requested = true;
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--json-label=", 0) == 0) {
-      json_label = arg.substr(13);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  if (json_path.empty()) json_path = "BENCH_micro.json";
-
-  int pass_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&pass_argc, passthrough.data());
-  if (benchmark::ReportUnrecognizedArguments(pass_argc, passthrough.data())) {
-    return 1;
-  }
-  NsPerOpCollector reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  if (json_requested) {
-    write_bench_json(json_path, json_label, reporter.results());
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -13,117 +13,71 @@
 //              vary).
 // --smoke      tiny fleets + short runs; the `bench-smoke` ctest label
 //              runs this mode so the bench itself stays green under the
-//              sanitizer presets. Smoke runs also record kernel-ms and
-//              events/s per sweep point into BENCH_scale.json (keyed by
-//              --json-label, default "current"), extending the
-//              checked-in perf trajectory.
+//              sanitizer presets.
 // --linear     use the brute-force channel (kLinear) instead of the
 //              grid, for A/B-ing the index's win. The grid channel
 //              derives its own strip count from each fleet's extent
-//              (docs/SCALING.md "Sharding").
+//              (docs/SCALING.md "Sharding"); the perf-smoke ctest
+//              bench_check_scale floors that win in-process.
 // --vehicles   comma-separated fleet-size override (e.g.
 //              --vehicles 10000).
 // --duration S sim-seconds override per point.
-// --json       write BENCH_scale.json even outside --smoke.
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <stdexcept>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "obs/json.h"
-#include "scenario/scale.h"
+#include "obs/kernel_profiler.h"
+#include "obs/stats_registry.h"
+#include "runner/ensemble.h"
+#include "scenario/table1.h"
 #include "util/cli_args.h"
 #include "util/table_writer.h"
 
 namespace {
 
-/// Rewrites BENCH_scale.json with this run's kernel-ms / events-per-s
-/// per sweep point under `label`, keeping entries with other labels.
-/// Shape: {"entries": [{"label": "...", "points": [{...}, ...]}, ...]}
-void write_scale_json(
-    const std::string& path, const std::string& label,
-    const std::vector<cavenet::scenario::ScaleRunResult>& results) {
-  using cavenet::obs::JsonValue;
-  std::vector<std::string> kept;  // raw pre-serialized entries
-  if (std::ifstream in(path); in.is_open()) {
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const JsonValue doc = cavenet::obs::parse_json(buf.str());
-    if (const JsonValue* entries = doc.find("entries");
-        entries != nullptr && entries->is_array()) {
-      for (const JsonValue& entry : entries->array) {
-        const JsonValue* entry_label = entry.find("label");
-        const JsonValue* points = entry.find("points");
-        if (entry_label == nullptr || !entry_label->is_string() ||
-            entry_label->string == label || points == nullptr ||
-            !points->is_array()) {
-          continue;
-        }
-        cavenet::obs::JsonWriter raw;
-        raw.begin_object();
-        raw.key("label");
-        raw.value(entry_label->string);
-        raw.key("points");
-        raw.begin_array();
-        for (const JsonValue& point : points->array) {
-          raw.begin_object();
-          for (const auto& [name, value] : point.object) {
-            raw.key(name);
-            if (value.is_string()) {
-              raw.value(value.string);
-            } else {
-              raw.value(value.number);
-            }
-          }
-          raw.end_object();
-        }
-        raw.end_array();
-        raw.end_object();
-        kept.push_back(raw.str());
-      }
-    }
-  }
+using namespace cavenet;
 
-  cavenet::obs::JsonWriter w;
-  w.begin_object();
-  w.key("entries");
-  w.begin_array();
-  for (const std::string& entry : kept) w.raw(entry);
-  w.begin_object();
-  w.key("label");
-  w.value(label);
-  w.key("points");
-  w.begin_array();
-  for (const cavenet::scenario::ScaleRunResult& r : results) {
-    w.begin_object();
-    w.key("protocol");
-    w.value(to_string(r.protocol));
-    w.key("vehicles");
-    w.value(static_cast<std::int64_t>(r.vehicles));
-    w.key("events");
-    w.value(static_cast<std::uint64_t>(r.flow.events_dispatched));
-    w.key("kernel_ms");
-    w.value(r.kernel_wall_ms);
-    w.key("wall_ms");
-    w.value(r.wall_s * 1e3);
-    w.key("events_per_s");
-    w.value(r.wall_s > 0.0
-                ? static_cast<double>(r.flow.events_dispatched) / r.wall_s
-                : 0.0);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  w.end_array();
-  w.end_object();
+/// One sweep point's outcome: the flow result plus the channel and
+/// kernel cost the sweep exists for.
+struct ScalePoint {
+  scenario::SenderRunResult flow;
+  std::uint64_t tx = 0;         ///< chan.tx
+  std::uint64_t evaluated = 0;  ///< chan.evaluated
+  std::uint64_t culled = 0;     ///< chan.culled
+  /// (evaluated + culled) / evaluated: receive-power evaluations a full
+  /// O(N) fan-out would have cost per one performed. 1.0 = no culling.
+  double cull_factor = 1.0;
+  double kernel_ms = 0.0;       ///< handler wall time (kernel profiler)
+  double wall_s = 0.0;          ///< whole-run wall clock
+};
 
-  std::ofstream out(path, std::ios::trunc);
-  out << w.str() << '\n';
-  std::cout << "json: " << path << " (label \"" << label << "\")\n";
+ScalePoint run_point(scenario::TableIConfig config) {
+  obs::StatsRegistry stats;
+  obs::KernelProfiler profiler;
+  config.obs.stats = &stats;
+  config.obs.profiler = &profiler;
+  ScalePoint point;
+  const auto start = std::chrono::steady_clock::now();
+  point.flow = scenario::run_table1(config);
+  point.wall_s = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+  const obs::StatsSnapshot snapshot = stats.snapshot();
+  point.tx = snapshot.counter("chan.tx");
+  point.evaluated = snapshot.counter("chan.evaluated");
+  point.culled = snapshot.counter("chan.culled");
+  if (point.evaluated > 0) {
+    point.cull_factor = static_cast<double>(point.evaluated + point.culled) /
+                        static_cast<double>(point.evaluated);
+  }
+  point.kernel_ms = static_cast<double>(profiler.total_wall_ns()) / 1e6;
+  return point;
 }
 
 std::vector<std::int32_t> parse_fleets(const std::string& csv) {
@@ -145,8 +99,7 @@ std::vector<std::int32_t> parse_fleets(const std::string& csv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace cavenet;
-  using namespace cavenet::scenario;
+  using scenario::Protocol;
 
   CliArgs args(argc, argv);
   const int jobs = static_cast<int>(args.get_int("jobs", 1));
@@ -154,8 +107,6 @@ int main(int argc, char** argv) {
   const bool linear = args.get_bool("linear", false);
   const std::string vehicles_csv = args.get_string("vehicles", "");
   const double duration_override = args.get_double("duration", 0.0);
-  const bool write_json = args.get_bool("json", false);
-  const std::string json_label = args.get_string("json-label", "current");
   for (const std::string& flag : args.unknown_flags()) {
     std::cerr << args.describe_unknown(flag) << "\n";
     return 2;
@@ -173,16 +124,19 @@ int main(int argc, char** argv) {
   }
   const double duration_s =
       duration_override > 0.0 ? duration_override : (smoke ? 6.0 : 30.0);
-  const double traffic_start_s = smoke ? 1.0 : 5.0;
 
-  std::vector<ScaleConfig> sweep;
+  // Table-I runs (seed 1, CBR 5 pkt/s x 512 B from node 1 to node 0
+  // until the end) at the Table-I density, 30 vehicles on 400 cells.
+  std::vector<scenario::TableIConfig> sweep;
   for (const Protocol protocol : {Protocol::kAodv, Protocol::kOlsr}) {
     for (const std::int32_t n : fleets) {
-      ScaleConfig config;
+      scenario::TableIConfig config;
       config.protocol = protocol;
       config.vehicles = n;
+      config.lane_cells = std::llround(400.0 / 30.0 * n);
+      config.traffic_start_s = smoke ? 1.0 : 5.0;
+      config.traffic_stop_s = duration_s;
       config.duration_s = duration_s;
-      config.traffic_start_s = traffic_start_s;
       config.channel_index =
           linear ? phy::ChannelIndex::kLinear : phy::ChannelIndex::kGrid;
       sweep.push_back(config);
@@ -196,19 +150,23 @@ int main(int argc, char** argv) {
   std::cout << " vehicles, AODV + OLSR, channel index "
             << (linear ? "linear (brute force)" : "grid") << "\n\n";
 
-  const std::vector<ScaleRunResult> results = run_scale_sweep(sweep, jobs);
+  const std::vector<ScalePoint> results = runner::map<ScalePoint>(
+      sweep.size(), jobs, [&sweep](runner::ReplicationContext& ctx) {
+        return run_point(sweep[ctx.index]);
+      });
 
   TableWriter table({"protocol", "N", "PDR", "events", "chan tx",
                      "rx-pow eval", "rx-pow culled", "cull x", "kernel [ms]",
                      "wall [s]", "ev/s"});
-  for (const ScaleRunResult& r : results) {
-    table.add_row({std::string(to_string(r.protocol)),
-                   static_cast<std::int64_t>(r.vehicles), r.flow.pdr,
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const ScalePoint& r = results[i];
+    table.add_row({std::string(to_string(sweep[i].protocol)),
+                   static_cast<std::int64_t>(sweep[i].vehicles), r.flow.pdr,
                    static_cast<std::int64_t>(r.flow.events_dispatched),
-                   static_cast<std::int64_t>(r.transmissions),
-                   static_cast<std::int64_t>(r.rx_power_evaluated),
-                   static_cast<std::int64_t>(r.rx_power_culled),
-                   r.cull_factor, r.kernel_wall_ms, r.wall_s,
+                   static_cast<std::int64_t>(r.tx),
+                   static_cast<std::int64_t>(r.evaluated),
+                   static_cast<std::int64_t>(r.culled), r.cull_factor,
+                   r.kernel_ms, r.wall_s,
                    r.wall_s > 0.0
                        ? static_cast<double>(r.flow.events_dispatched) /
                              r.wall_s
@@ -217,34 +175,28 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   table.write_csv_file("scale.csv");
   std::cout << "\ncsv: scale.csv\n";
-  if (smoke || write_json) {
-    write_scale_json("BENCH_scale.json", json_label, results);
-  }
 
   // Sanity gates so the smoke run fails loudly if the index regresses:
   // every pair (transmission, other radio) is either evaluated or culled,
   // and at the largest fleet the index must pay for itself.
   int failures = 0;
-  for (const ScaleRunResult& r : results) {
-    const auto expected =
-        r.transmissions * static_cast<std::uint64_t>(r.vehicles - 1);
-    if (r.rx_power_evaluated + r.rx_power_culled != expected) {
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const ScalePoint& r = results[i];
+    const std::string protocol(to_string(sweep[i].protocol));
+    const std::int32_t n = sweep[i].vehicles;
+    const auto expected = r.tx * static_cast<std::uint64_t>(n - 1);
+    if (r.evaluated + r.culled != expected) {
       std::printf("FAIL %s N=%d: eval %llu + culled %llu != tx*(N-1) %llu\n",
-                  std::string(to_string(r.protocol)).c_str(), r.vehicles,
-                  static_cast<unsigned long long>(r.rx_power_evaluated),
-                  static_cast<unsigned long long>(r.rx_power_culled),
+                  protocol.c_str(), n,
+                  static_cast<unsigned long long>(r.evaluated),
+                  static_cast<unsigned long long>(r.culled),
                   static_cast<unsigned long long>(expected));
       ++failures;
     }
-  }
-  if (!smoke && !linear) {
-    for (const ScaleRunResult& r : results) {
-      if (r.vehicles >= 1000 && r.cull_factor < 5.0) {
-        std::printf("FAIL %s N=%d: cull factor %.2f < 5\n",
-                    std::string(to_string(r.protocol)).c_str(), r.vehicles,
-                    r.cull_factor);
-        ++failures;
-      }
+    if (!smoke && !linear && n >= 1000 && r.cull_factor < 5.0) {
+      std::printf("FAIL %s N=%d: cull factor %.2f < 5\n", protocol.c_str(),
+                  n, r.cull_factor);
+      ++failures;
     }
   }
   return failures;

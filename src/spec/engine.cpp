@@ -15,9 +15,11 @@ int run_spec(const CampaignSpec& spec, const RunOptions& options) {
   }
   switch (spec.kind) {
     case SpecKind::kGoodputSurface:
-      return run_goodput_surface(spec, options.jobs, options.output_dir);
+      run_goodput_surface(spec, options.jobs, options.output_dir);
+      return 0;
     case SpecKind::kFundamentalDiagram:
-      return run_fundamental_diagram(spec, options.jobs, options.output_dir);
+      run_fundamental_diagram(spec, options.jobs, options.output_dir);
+      return 0;
     case SpecKind::kCampaign: {
       CampaignOptions campaign_options;
       campaign_options.jobs = options.jobs;

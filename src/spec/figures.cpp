@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -57,8 +58,8 @@ std::string join_output_path(const std::string& output_dir,
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
-int run_goodput_surface(const CampaignSpec& spec, int jobs,
-                        const std::string& output_dir) {
+void run_goodput_surface(const CampaignSpec& spec, int jobs,
+                         const std::string& output_dir) {
   using namespace cavenet::scenario;
 
   TableIConfig config = spec.scenario.config;
@@ -109,9 +110,10 @@ int run_goodput_surface(const CampaignSpec& spec, int jobs,
   table.print(std::cout);
 
   const std::string csv_path = join_output_path(output_dir, spec.outputs.csv);
-  if (csv.write_csv_file(csv_path)) {
-    std::cout << "\nFull per-second surface written to " << csv_path << "\n";
+  if (!csv.write_csv_file(csv_path)) {
+    throw std::runtime_error("cannot write goodput csv " + csv_path);
   }
+  std::cout << "\nFull per-second surface written to " << csv_path << "\n";
 
   // One telemetry stream per sender run (each sender is its own
   // simulation). The streams contain only sim-time-keyed registry state,
@@ -124,7 +126,7 @@ int run_goodput_surface(const CampaignSpec& spec, int jobs,
       std::ofstream out(telemetry_path, std::ios::binary);
       out << r.telemetry_jsonl;
       if (!out.flush()) {
-        std::cout << "cannot write telemetry " << telemetry_path << "\n";
+        throw std::runtime_error("cannot write telemetry " + telemetry_path);
       }
     }
     std::cout << "Telemetry streams written to "
@@ -163,14 +165,14 @@ int run_goodput_surface(const CampaignSpec& spec, int jobs,
   // serialize byte-identically at any --jobs, so wall timing stays on
   // stdout only.
   manifest.strip_volatile();
-  if (manifest.write_file(manifest_path)) {
-    std::cout << "Run manifest written to " << manifest_path << "\n";
+  if (!manifest.write_file(manifest_path)) {
+    throw std::runtime_error("cannot write goodput manifest " + manifest_path);
   }
-  return 0;
+  std::cout << "Run manifest written to " << manifest_path << "\n";
 }
 
-int run_fundamental_diagram(const CampaignSpec& spec, int jobs,
-                            const std::string& output_dir) {
+void run_fundamental_diagram(const CampaignSpec& spec, int jobs,
+                             const std::string& output_dir) {
   const FundamentalDiagramSpec& fd = spec.fd;
 
   std::cout << spec.title << ": fundamental diagram, L = " << fd.lane_cells
@@ -215,7 +217,10 @@ int run_fundamental_diagram(const CampaignSpec& spec, int jobs,
   }
   table.print(std::cout);
   const std::string csv_path = join_output_path(output_dir, spec.outputs.csv);
-  table.write_csv_file(csv_path);
+  if (!table.write_csv_file(csv_path)) {
+    throw std::runtime_error("cannot write fundamental-diagram csv " +
+                             csv_path);
+  }
 
   obs::RunManifest manifest;
   manifest.name = manifest_stem(spec.outputs.manifest);
@@ -248,8 +253,12 @@ int run_fundamental_diagram(const CampaignSpec& spec, int jobs,
                 peak_rho);
   }
   manifest.strip_volatile();
-  manifest.write_file(join_output_path(output_dir, spec.outputs.manifest));
-  return 0;
+  const std::string manifest_path =
+      join_output_path(output_dir, spec.outputs.manifest);
+  if (!manifest.write_file(manifest_path)) {
+    throw std::runtime_error("cannot write fundamental-diagram manifest " +
+                             manifest_path);
+  }
 }
 
 #pragma GCC diagnostic pop

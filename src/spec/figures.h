@@ -20,16 +20,18 @@ namespace cavenet::spec {
 /// one run per sender first_sender..last_sender fanned over `jobs`
 /// ensemble workers, the aggregate table on stdout, the full per-second
 /// surface to outputs.csv and the stripped manifest to outputs.manifest
-/// (both paths prefixed with `output_dir` when non-empty). Returns 0.
-int run_goodput_surface(const CampaignSpec& spec, int jobs,
-                        const std::string& output_dir = "");
+/// (both paths prefixed with `output_dir` when non-empty). Throws
+/// std::runtime_error naming the path when an output cannot be written.
+void run_goodput_surface(const CampaignSpec& spec, int jobs,
+                         const std::string& output_dir = "");
 
 /// Runs the fundamental-diagram sweep (kind "fundamental_diagram"): one
 /// density ladder per slowdown probability, the Fig. 4 table on stdout
 /// and outputs.csv, plus a stripped manifest to outputs.manifest.
-/// Returns 0.
-int run_fundamental_diagram(const CampaignSpec& spec, int jobs,
-                            const std::string& output_dir = "");
+/// Throws std::runtime_error naming the path when an output cannot be
+/// written.
+void run_fundamental_diagram(const CampaignSpec& spec, int jobs,
+                             const std::string& output_dir = "");
 
 /// `output_dir.empty() ? path : output_dir + "/" + path`.
 std::string join_output_path(const std::string& output_dir,

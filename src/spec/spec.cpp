@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -181,6 +182,25 @@ class ObjectReader {
 
 constexpr double kInf = 1e308;
 constexpr std::int64_t kMaxCells = 1'000'000'000;
+
+/// Outputs are written relative to the output directory (or a job's
+/// directory under cavenet-serve), so a path that could leave it is
+/// rejected: absolute, or with a ".." segment.
+void check_output_path(const std::string& value, const std::string& path) {
+  const std::filesystem::path output(value);
+  if (output.is_absolute()) {
+    throw SpecError(path + ": \"" + value +
+                    "\" is absolute; outputs are relative to the output "
+                    "directory");
+  }
+  for (const std::filesystem::path& segment : output) {
+    if (segment == "..") {
+      throw SpecError(path + ": \"" + value +
+                      "\" has a \"..\" segment; outputs stay inside the "
+                      "output directory");
+    }
+  }
+}
 
 scenario::Protocol parse_protocol(ObjectReader& r) {
   const std::string p = r.get_enum("protocol", "aodv",
@@ -515,6 +535,11 @@ CampaignSpec parse_campaign(std::string_view json_text,
   if (spec.name.empty()) {
     throw SpecError(root_path + ".name: a non-empty name is required");
   }
+  if (spec.name.find('/') != std::string::npos) {
+    // The name prefixes point manifests, telemetry and progress files.
+    throw SpecError(root_path + ".name: \"" + spec.name +
+                    "\" contains '/'; the name is a file stem");
+  }
   spec.title = r.get_string("title", spec.name);
   const std::string kind =
       r.get_enum("kind", "campaign",
@@ -570,6 +595,8 @@ CampaignSpec parse_campaign(std::string_view json_text,
     spec.outputs.csv = out.get_string("csv", "");
     spec.outputs.manifest = out.get_string("manifest", "");
     out.finish();
+    check_output_path(spec.outputs.csv, out.member_path("csv"));
+    check_output_path(spec.outputs.manifest, out.member_path("manifest"));
   }
   if (spec.outputs.csv.empty()) spec.outputs.csv = spec.name + ".csv";
   if (spec.outputs.manifest.empty()) {

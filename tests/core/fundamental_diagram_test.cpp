@@ -1,6 +1,7 @@
 #include "core/fundamental_diagram.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -96,6 +97,31 @@ TEST(FundamentalDiagramTest, MeanVelocityConsistentWithFlow) {
   // J = rho * v_bar: densities are realized exactly at multiples of 1/L.
   EXPECT_NEAR(points[0].flow, points[0].density * points[0].mean_velocity,
               1e-9);
+}
+
+TEST(FundamentalDiagramTest, VMaxOneMatchesTheExactStochasticFlow) {
+  // With v_max = 1 the parallel-update NaS model is exactly solvable
+  // (Schadschneider & Schreckenberg, J. Phys. A 26 L679, 1993):
+  //   J = (1 - sqrt(1 - 4 (1 - p) rho (1 - rho))) / 2.
+  // Unlike deterministic_flow this checks the slowdown draw itself. The
+  // 0.005 tolerance was fixed before the first run. About 1 s at jobs 1.
+  FundamentalDiagramOptions options;
+  options.params.lane_length = 1000;
+  options.params.v_max = 1;
+  options.densities = density_ladder(1000, 0.9, 10);
+  options.iterations = 2000;
+  options.trials = 4;
+  options.warmup = 1000;
+  options.seed = 7;
+  for (const double p : {0.25, 0.5, 0.75}) {
+    options.params.slowdown_p = p;
+    for (const FundamentalDiagramPoint& point : fundamental_diagram(options)) {
+      const double rho = point.density;
+      const double exact =
+          0.5 * (1.0 - std::sqrt(1.0 - 4.0 * (1.0 - p) * rho * (1.0 - rho)));
+      EXPECT_NEAR(point.flow, exact, 0.005) << "p = " << p << ", rho = " << rho;
+    }
+  }
 }
 
 }  // namespace

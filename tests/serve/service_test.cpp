@@ -9,11 +9,14 @@
 //    simulated twice, no result is lost, and the final outputs
 //    byte-match;
 //  * a unit whose cache store throws fails its job, not the service;
+//  * a spec whose outputs or name could leave the job directory is
+//    rejected before anything is journaled;
 //  * the HTTP surface (submit / status / results / events / cancel)
 //    over real sockets.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -280,6 +283,50 @@ TEST(JobServiceTest, InvalidSubmissionsAreRejectedUpFront) {
   EXPECT_THROW(service.submit(bomb), obs::JsonParseError);
   EXPECT_TRUE(service.job_ids().empty()) << "rejected submissions journaled";
   service.stop();
+}
+
+/// Every file under `root` outside `<root>/state/jobs`, with its bytes.
+std::map<std::string, std::string> files_outside_jobs(const fs::path& root) {
+  const std::string jobs = (root / "state" / "jobs").string();
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    const std::string path = entry.path().string();
+    if (entry.is_regular_file() && path.rfind(jobs, 0) != 0) {
+      files[path] = slurp(entry.path());
+    }
+  }
+  return files;
+}
+
+TEST(JobServiceTest, SpecPathsStayInsideTheJobDirectory) {
+  // A job writes into <state>/jobs/<id>; a spec whose outputs or name
+  // could leave that directory is rejected before anything is journaled.
+  const fs::path root = fresh_dir("serve_spec_paths");
+  const fs::path state = root / "state";
+  JobService service(base_options(state, 1));
+  const auto before = files_outside_jobs(root);
+  const std::string escapes[] = {
+      R"({"name": "g", "kind": "goodput_surface",
+          "scenario": {"duration_s": 90,
+                       "mobility": {"lane_cells": 60, "vehicles": 4},
+                       "traffic": {"start_s": 5, "stop_s": 85, "sender": 1}},
+          "outputs": {"csv": "../../journal.jsonl"}})",
+      R"({"name": "f", "kind": "fundamental_diagram",
+          "fundamental_diagram": {"lane_cells": 50, "points": 3,
+                                  "iterations": 20, "trials": 2},
+          "outputs": {"manifest": ")" +
+          (root / "f.manifest.json").string() + R"("}})",
+      R"({"name": "../esc_name", "kind": "campaign",
+          "scenario": {"duration_s": 20,
+                       "mobility": {"lane_cells": 150, "vehicles": 12},
+                       "traffic": {"start_s": 5, "stop_s": 15, "sender": 3}}})",
+  };
+  for (const std::string& json : escapes) {
+    EXPECT_THROW(service.submit(json), spec::SpecError) << json;
+  }
+  EXPECT_TRUE(service.job_ids().empty()) << "rejected submissions journaled";
+  service.stop();
+  EXPECT_EQ(files_outside_jobs(root), before);
 }
 
 TEST(JobServiceTest, CacheStoreFailureFailsTheJobNotTheService) {

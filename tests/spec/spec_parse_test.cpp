@@ -295,5 +295,47 @@ TEST(SpecParseTest, SenderAndSendersAreMutuallyExclusive) {
             std::string::npos);
 }
 
+// Outputs are written relative to the output directory (a job's directory
+// under cavenet-serve), so no spec may name a path that leaves it.
+TEST(SpecParseTest, AbsoluteOutputPathIsRejected) {
+  const std::string what = error_of(R"({"name": "t", "kind": "campaign",
+      "scenario": {}, "outputs": {"manifest": "/tmp/t.manifest.json"}})");
+  EXPECT_NE(what.find("$.outputs.manifest"), std::string::npos) << what;
+  EXPECT_NE(what.find("absolute"), std::string::npos) << what;
+}
+
+TEST(SpecParseTest, DotDotOutputSegmentIsRejected) {
+  const std::string what = error_of(R"({"name": "t",
+      "kind": "goodput_surface", "scenario": {},
+      "outputs": {"csv": "../../journal.jsonl"}})");
+  EXPECT_NE(what.find("$.outputs.csv"), std::string::npos) << what;
+  EXPECT_NE(what.find("\"..\" segment"), std::string::npos) << what;
+  EXPECT_NE(error_of(R"({"name": "t", "kind": "campaign", "scenario": {},
+                         "outputs": {"csv": "out/../../t.csv"}})")
+                .find("$.outputs.csv"),
+            std::string::npos);
+  // Dots inside a file name and plain subdirectories stay allowed.
+  const CampaignSpec spec = parse_campaign(
+      R"({"name": "t", "kind": "campaign", "scenario": {},
+          "outputs": {"csv": "./sub/t..v2.csv", "manifest": "..t.json"}})",
+      "test.json");
+  EXPECT_EQ(spec.outputs.csv, "./sub/t..v2.csv");
+  EXPECT_EQ(spec.outputs.manifest, "..t.json");
+}
+
+TEST(SpecParseTest, NameWithSlashIsRejected) {
+  // The name prefixes point manifests, telemetry and progress files.
+  const std::string what = error_of(
+      R"({"name": "../esc_name", "kind": "campaign", "scenario": {}})");
+  EXPECT_NE(what.find("$.name"), std::string::npos) << what;
+  EXPECT_NE(error_of(R"({"name": "sub/t", "kind": "fundamental_diagram"})")
+                .find("$.name"),
+            std::string::npos);
+  EXPECT_EQ(parse_campaign(R"({"name": "..", "kind": "fundamental_diagram"})",
+                           "test.json")
+                .outputs.csv,
+            "...csv");
+}
+
 }  // namespace
 }  // namespace cavenet::spec
