@@ -62,13 +62,7 @@ Channel::Attachment Channel::attach(WifiPhy* phy) {
   if (provider != nullptr) ++batch_count_;
   ++live_count_;
   phy->set_channel(this, slot);
-  if (min_cs_valid_) {
-    min_cs_threshold_w_ =
-        std::min(min_cs_threshold_w_, phy->params().profile.cs_threshold_w);
-  } else {
-    min_cs_threshold_w_ = phy->params().profile.cs_threshold_w;
-    min_cs_valid_ = true;
-  }
+  min_cs_stale_ = true;
   radius_cache_.reset();
   // Membership churn: strip assignment must be rebuilt before use.
   shards_.invalidate();
@@ -85,15 +79,9 @@ void Channel::detach_slot(std::uint32_t slot) noexcept {
     --batch_count_;
   }
   --live_count_;
-  // The detached radio may have been the most sensitive one; rescan.
-  min_cs_valid_ = false;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!live_[i]) continue;
-    const double thr = slots_[i]->params().profile.cs_threshold_w;
-    min_cs_threshold_w_ = min_cs_valid_ ? std::min(min_cs_threshold_w_, thr)
-                                        : thr;
-    min_cs_valid_ = true;
-  }
+  // The detached radio may have been the most sensitive one: the next
+  // transmit rescans, so tearing down N radios stays O(N).
+  min_cs_stale_ = true;
   radius_cache_.reset();
   shards_.invalidate();
 }
@@ -166,6 +154,17 @@ void Channel::refresh_strip(std::uint32_t s, SimTime now) {
 }
 
 std::optional<double> Channel::interaction_radius(double tx_power_w) {
+  if (min_cs_stale_) {
+    min_cs_valid_ = false;
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (!live_[i]) continue;
+      const double thr = slots_[i]->params().profile.cs_threshold_w;
+      min_cs_threshold_w_ =
+          min_cs_valid_ ? std::min(min_cs_threshold_w_, thr) : thr;
+      min_cs_valid_ = true;
+    }
+    min_cs_stale_ = false;
+  }
   if (!min_cs_valid_) return std::nullopt;
   if (radius_cache_ && radius_cache_->first == tx_power_w) {
     return radius_cache_->second;

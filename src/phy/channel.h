@@ -190,9 +190,11 @@ class Channel {
   std::vector<std::uint32_t> scratch_;     ///< candidates, reused
 
   /// Smallest carrier-sense threshold over attached radios — the radius
-  /// bound must cover the most sensitive receiver.
+  /// bound must cover the most sensitive receiver. Attach and detach only
+  /// mark it stale; interaction_radius() rescans the live slots once.
   double min_cs_threshold_w_ = 0.0;
-  bool min_cs_valid_ = false;
+  bool min_cs_valid_ = false;  ///< false when no radio is attached
+  bool min_cs_stale_ = false;
   /// Single-entry cache: tx power -> solved radius (tx power is uniform
   /// in practice, so the solve runs once per attach/detach epoch).
   std::optional<std::pair<double, std::optional<double>>> radius_cache_;

@@ -27,7 +27,13 @@ void OlsrProtocol::add_local_network(NodeId network) {
   local_networks_.push_back(network);
 }
 
+const RoutingTable& OlsrProtocol::table() const {
+  refresh_routes();
+  return table_;
+}
+
 std::optional<NodeId> OlsrProtocol::gateway_for(NodeId network) const {
+  refresh_routes();
   const RouteEntry* route = nullptr;
   NodeId gateway = 0;
   for (const auto& assoc : hna_associations_) {
@@ -44,6 +50,7 @@ std::optional<NodeId> OlsrProtocol::gateway_for(NodeId network) const {
 }
 
 const RouteEntry* OlsrProtocol::resolve(NodeId dst) const {
+  refresh_routes();
   if (const RouteEntry* direct = table_.lookup(dst, sim_->now())) {
     return direct;
   }
@@ -120,7 +127,7 @@ void OlsrProtocol::hello_timer() {
   if (params_.use_etx && hello_ticks_ % params_.etx_window == 0) {
     etx_window_rollover();
   }
-  compute_routes();
+  routes_changed();
   sim_->schedule(params_.hello_interval + jitter(10), "olsr",
                  [this] { hello_timer(); });
 }
@@ -134,6 +141,9 @@ void OlsrProtocol::etx_window_rollover() {
 }
 
 void OlsrProtocol::tc_timer() {
+  // The prune below changes the Dijkstra input with no recompute after
+  // it: build the pending table first, over the state it was due for.
+  refresh_routes();
   expire_state();
   if (!mpr_selectors_.empty()) {
     TcHeader tc;
@@ -215,7 +225,7 @@ void OlsrProtocol::handle_hello(const HelloHeader& hello, NodeId from) {
       }
     }
   }
-  compute_routes();
+  routes_changed();
 }
 
 void OlsrProtocol::handle_tc(Packet packet, const TcHeader& tc, NodeId from) {
@@ -250,7 +260,7 @@ void OlsrProtocol::handle_tc(Packet packet, const TcHeader& tc, NodeId from) {
                              sim_->now() + params_.topology_hold(), quality});
       }
     }
-    compute_routes();
+    routes_changed();
   }
 
   // MPR flooding rule: retransmit only if the sender selected us as MPR.
@@ -417,11 +427,21 @@ void OlsrProtocol::select_mprs() {
   }
 }
 
-void OlsrProtocol::compute_routes() {
+void OlsrProtocol::routes_changed() {
+  routes_stale_ = true;
+  routes_at_ = sim_->now();
+}
+
+void OlsrProtocol::refresh_routes() const {
+  if (!routes_stale_) return;
+  compute_routes(routes_at_);
+  routes_stale_ = false;
+}
+
+void OlsrProtocol::compute_routes(SimTime at) const {
   // Dijkstra over sym links + topology edges. Cost is 1 per hop, or ETX
   // when the LQ extension is active.
   table_.clear();
-  const SimTime now = sim_->now();
 
   struct Item {
     double cost;
@@ -434,7 +454,7 @@ void OlsrProtocol::compute_routes() {
   std::map<NodeId, double> best_cost;
 
   for (const auto& [addr, link] : links_) {
-    if (link.sym_until <= now) continue;
+    if (link.sym_until <= at) continue;
     const double cost = params_.use_etx ? link_etx(addr) : 1.0;
     if (cost == std::numeric_limits<double>::infinity()) continue;
     frontier.push({cost, 1, addr, addr});
@@ -443,7 +463,7 @@ void OlsrProtocol::compute_routes() {
   // Adjacency from the topology set: last_hop -> dest.
   std::map<NodeId, std::vector<std::pair<NodeId, double>>> adjacency;
   for (const auto& t : topology_) {
-    if (t.expires <= now) continue;
+    if (t.expires <= at) continue;
     const double cost =
         params_.use_etx ? (t.quality > 0.0 ? 1.0 / t.quality : 0.0) : 1.0;
     if (cost <= 0.0) continue;

@@ -94,7 +94,7 @@ class OlsrProtocol final : public RoutingProtocol {
 
   void start() override;
   void send(netsim::Packet packet, netsim::NodeId destination) override;
-  const RoutingTable& table() const override { return table_; }
+  const RoutingTable& table() const override;
 
   const OlsrParams& params() const noexcept { return params_; }
   /// Current MPR set (for tests and the MPR ablation bench).
@@ -148,12 +148,32 @@ class OlsrProtocol final : public RoutingProtocol {
   void expire_state();
   bool link_is_sym(netsim::NodeId neighbor) const;
   void select_mprs();
-  void compute_routes();
+  /// Records that the Dijkstra input changed now; the next read rebuilds.
+  void routes_changed();
+  /// Rebuilds the table if a change is pending (see table_).
+  void refresh_routes() const;
+  /// Dijkstra over the sym links and topology tuples live at `at`.
+  void compute_routes(SimTime at) const;
   /// Route to `dst`, falling back to the best HNA gateway.
   const RouteEntry* resolve(netsim::NodeId dst) const;
 
   OlsrParams params_;
-  RoutingTable table_;
+  /// Built when read, not on every HELLO and TC. Invariant: a refreshed
+  /// table_ equals the Dijkstra at t_c over the state at t_c, where t_c
+  /// (routes_at_) is the time of the last change: the last
+  /// routes_changed(), called on each received HELLO, each new TC and each
+  /// HELLO timer. Two rules keep it:
+  ///  * the rebuild runs at t_c, not at the read time, so links and
+  ///    tuples that expired in between still count;
+  ///  * tc_timer() refreshes before its expire_state() prunes links_ and
+  ///    topology_, the one change to the input that no routes_changed()
+  ///    follows. hello_timer() prunes without refreshing: it ends in
+  ///    routes_changed(), and nothing reads the table in between.
+  /// A run has one thread, so the const readers rebuild the mutable cache
+  /// without synchronisation.
+  mutable RoutingTable table_;
+  mutable bool routes_stale_ = false;
+  SimTime routes_at_ = SimTime::zero();
   std::map<netsim::NodeId, LinkTuple> links_;
   std::vector<TwoHopTuple> two_hop_;
   std::set<netsim::NodeId> mprs_;

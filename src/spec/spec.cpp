@@ -588,6 +588,15 @@ CampaignSpec parse_campaign(std::string_view json_text,
       throw SpecError(root_path + ".sweep: only valid with "
                       "\"kind\": \"campaign\"");
     }
+    // run_goodput_surface tabulates seconds 10..90 of each run's
+    // per-second goodput, which a shorter run does not have.
+    if (spec.kind == SpecKind::kGoodputSurface &&
+        spec.scenario.config.duration_s < 90.0) {
+      throw SpecError(root_path + ".scenario.duration_s: a goodput_surface "
+                      "tabulates the 10-90 s window, so the run must last "
+                      "at least 90 s, not " +
+                      render_number(spec.scenario.config.duration_s));
+    }
   }
 
   if (const obs::JsonValue* outputs = r.find("outputs")) {

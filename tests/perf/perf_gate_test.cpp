@@ -10,22 +10,29 @@
 //    scalar kernel run on an AoS copy.
 //  * Channel: the strip-grid candidate index against the kLinear scan,
 //    on one Table-I-density AODV point large enough to cull.
+//  * Teardown: detaching N radios against attaching them, both O(N); a
+//    detach that rescans the fleet makes the ratio grow with N.
 //
-// The floors sit between the unchanged tree's ratios and those of a
-// build whose fast side does twice the work (docs/SCALING.md). Registered
-// as the perf-smoke ctests bench_check_nas and bench_check_scale, in
-// uninstrumented builds only.
+// The speedup floors sit between the unchanged tree's ratios and those of
+// a build whose fast side does twice the work (docs/SCALING.md).
+// Registered as the perf-smoke ctests bench_check_nas, bench_check_scale
+// and bench_check_teardown, in uninstrumented builds only.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <iostream>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/nas_lane.h"
+#include "netsim/mobility.h"
+#include "phy/channel.h"
+#include "phy/wifi_phy.h"
 #include "scenario/table1.h"
 #include "util/rng.h"
 
@@ -37,6 +44,9 @@ namespace {
 // work read 4.3-5.1x and 1.7-2.1x.
 constexpr double kNasFloor = 6.0;
 constexpr double kGridFloor = 2.5;
+// t_teardown / t_attach at N = 16 000, same VM: medians 0.31-0.50 over 50
+// runs with O(1) detach, 318-458 when every detach rescanned the fleet.
+constexpr double kTeardownCeiling = 5.0;
 
 double seconds(const std::function<void()>& body) {
   const auto start = std::chrono::steady_clock::now();
@@ -44,6 +54,16 @@ double seconds(const std::function<void()>& body) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// Prints the per-round ratios and returns their median.
+double median_of(std::vector<double> ratios) {
+  std::cout << "per-round ratios:";
+  for (const double r : ratios) std::cout << ' ' << r;
+  std::sort(ratios.begin(), ratios.end());
+  const double median = ratios[ratios.size() / 2];
+  std::cout << "\nmedian " << median << '\n';
+  return median;
 }
 
 /// Median over `rounds` of t_reference / t_fast, the two sides timed
@@ -63,12 +83,7 @@ double median_ratio(int rounds, const std::function<void()>& fast,
     }
     ratios.push_back(t_reference / t_fast);
   }
-  std::cout << "per-round ratios:";
-  for (const double r : ratios) std::cout << ' ' << r;
-  std::sort(ratios.begin(), ratios.end());
-  const double median = ratios[ratios.size() / 2];
-  std::cout << "\nmedian " << median << '\n';
-  return median;
+  return median_of(std::move(ratios));
 }
 
 TEST(PerfGate, NasSoaStepOutrunsTheReferenceKernel) {
@@ -108,6 +123,34 @@ TEST(PerfGate, GridChannelOutrunsTheLinearScan) {
       [&] { linear_events.push_back(run_table1(linear).events_dispatched); });
   EXPECT_GE(ratio, kGridFloor) << "t_linear / t_grid";
   EXPECT_EQ(grid_events, linear_events);
+}
+
+TEST(PerfGate, ChannelTeardownCostsNoMoreThanAttach) {
+  // Teardown must follow attach, so the rounds cannot alternate sides;
+  // each round times both on a fresh channel.
+  constexpr int kRadios = 16000;
+  netsim::Simulator sim(1);
+  const netsim::StaticMobility parked({0.0, 0.0});
+  std::vector<std::unique_ptr<phy::WifiPhy>> radios;
+  for (int i = 0; i < kRadios; ++i) {
+    radios.push_back(std::make_unique<phy::WifiPhy>(
+        sim, static_cast<netsim::NodeId>(i), &parked));
+  }
+  std::vector<double> ratios;
+  for (int round = 0; round < 5; ++round) {
+    phy::Channel channel(sim, std::make_unique<phy::TwoRayGroundModel>());
+    std::vector<phy::Channel::Attachment> links;
+    links.reserve(kRadios);
+    const double t_attach = seconds([&] {
+      for (const auto& radio : radios) {
+        links.push_back(channel.attach(radio.get()));
+      }
+    });
+    const double t_teardown = seconds([&] { links.clear(); });
+    ratios.push_back(t_teardown / t_attach);
+  }
+  EXPECT_LE(median_of(std::move(ratios)), kTeardownCeiling)
+      << "t_teardown / t_attach";
 }
 
 }  // namespace

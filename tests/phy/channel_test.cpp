@@ -130,6 +130,34 @@ TEST(ChannelAttachmentTest, DetachedRadioCannotTransmit) {
   EXPECT_THROW(tx.transmit(Packet(64)), std::logic_error);
 }
 
+TEST(ChannelAttachmentTest, RadiusFollowsTheMostSensitiveAttachedRadio) {
+  // The interaction radius is solved against the lowest carrier-sense
+  // threshold among the attached radios. A radio 700 m out lies beyond
+  // the default 550 m radius but inside the ~1 090 m one of a radio that
+  // senses at 1e-12 W; once that radio detaches, the radius shrinks back.
+  Fixture f;
+  obs::StatsRegistry stats;
+  f.channel.bind_stats(stats);
+  WifiPhy& tx = f.add_radio({0, 0});
+  f.add_radio({700, 0});
+  netsim::StaticMobility far_mob({-2000, 0});
+  PhyParams sensitive;
+  sensitive.profile.cs_threshold_w = 1e-12;
+  WifiPhy listener(f.sim, 9, &far_mob, sensitive);
+  Channel::Attachment link = f.channel.attach(&listener);
+
+  tx.transmit(Packet(64));
+  f.sim.run();
+  EXPECT_EQ(stats.counter("chan.evaluated").value(), 1u);  // the 700 m one
+  EXPECT_EQ(stats.counter("chan.culled").value(), 1u);     // the listener
+
+  link.detach();
+  tx.transmit(Packet(64));
+  f.sim.run();
+  EXPECT_EQ(stats.counter("chan.evaluated").value(), 1u);
+  EXPECT_EQ(stats.counter("chan.culled").value(), 2u);  // now the 700 m one
+}
+
 TEST(ChannelIndexTest, GridAndLinearCountersAgree) {
   // chan.evaluated / chan.culled are defined by the exact distance cull,
   // not by how candidates were found — both modes must publish identical

@@ -1,8 +1,13 @@
 #include "routing/olsr.h"
 
+#include <cstdint>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "routing/testbed.h"
+#include "util/rng.h"
 
 namespace cavenet::routing::olsr {
 namespace {
@@ -169,6 +174,73 @@ TEST(OlsrTest, EtxUnknownLinkIsInfinite) {
   bed.add_node({0, 0}, olsr_factory());
   auto& a = dynamic_cast<OlsrProtocol&>(bed.router(0));
   EXPECT_TRUE(std::isinf(a.link_etx(42)));
+}
+
+/// (router, dst, next_hop, hop_count) of every entry, every router.
+using TableDump =
+    std::vector<std::tuple<netsim::NodeId, netsim::NodeId, netsim::NodeId,
+                           std::uint32_t>>;
+
+/// Six routers 200 m apart for 60 s while 40 scripted excursions take a
+/// node out of range and back; reads every router's table() each
+/// `read_every_ms` and returns what it held at each 500 ms mark.
+std::vector<TableDump> tables_at_marks(std::uint64_t seed, bool use_etx,
+                                       std::int64_t read_every_ms) {
+  OlsrParams params;
+  params.use_etx = use_etx;
+  Testbed bed(seed);
+  bed.add_chain(6, 200.0, olsr_factory(params));
+  Rng script(seed);
+  for (int move = 0; move < 40; ++move) {
+    const auto node =
+        static_cast<netsim::NodeId>(script.uniform_int(std::int64_t{0}, 5));
+    const double out_s = script.uniform(2.0, 55.0);
+    const double back_s = out_s + script.uniform(0.5, 5.0);
+    bed.sim.schedule(SimTime::from_seconds(out_s), [&bed, node] {
+      bed.mobility(node).move_to({200.0 * node, 9000.0});
+    });
+    bed.sim.schedule(SimTime::from_seconds(back_s), [&bed, node] {
+      bed.mobility(node).move_to({200.0 * node, 0.0});
+    });
+  }
+  bed.start_all();
+
+  std::vector<TableDump> marks;
+  for (std::int64_t ms = read_every_ms; ms <= 60000; ms += read_every_ms) {
+    bed.sim.run_until(SimTime::milliseconds(ms));
+    const bool at_mark = ms % 500 == 0;
+    TableDump dump;
+    for (netsim::NodeId id = 0; id < 6; ++id) {
+      const RoutingTable& table = bed.router(id).table();  // the read
+      if (!at_mark) continue;
+      for (const auto& [dst, e] : table.entries()) {
+        dump.emplace_back(id, dst, e.next_hop, e.hop_count);
+      }
+    }
+    if (at_mark) marks.push_back(std::move(dump));
+  }
+  return marks;
+}
+
+TEST(OlsrTest, TableReadsDoNotChangeRoutes) {
+  // The table is built when it is read, over the state of its last
+  // change. How often it is read must not show in what it holds: reads
+  // every 1 ms and every 500 ms see the same routes at each 500 ms mark,
+  // also when an expiry prune falls between a change and the next read.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    for (const bool use_etx : {false, true}) {
+      const auto every_ms = tables_at_marks(seed, use_etx, 1);
+      const auto every_500ms = tables_at_marks(seed, use_etx, 500);
+      ASSERT_EQ(every_ms.size(), every_500ms.size());
+      for (std::size_t mark = 0; mark < every_ms.size(); ++mark) {
+        if (every_ms[mark] == every_500ms[mark]) continue;
+        ADD_FAILURE() << "seed " << seed << " use_etx " << use_etx
+                      << ": tables differ at t = " << 0.5 * (mark + 1)
+                      << " s";
+        break;
+      }
+    }
+  }
 }
 
 }  // namespace

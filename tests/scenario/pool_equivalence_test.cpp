@@ -10,8 +10,6 @@
 // simulation behaviour) with:
 //   CAVENET_REGEN_GOLDEN=1 ./scenario_equivalence_tests \
 //       --gtest_filter='PoolEquivalenceTest.*'
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
@@ -24,6 +22,7 @@
 
 #include "netsim/packet_log.h"
 #include "obs/stats_registry.h"
+#include "scenario/run_dump.h"
 #include "scenario/table1.h"
 #include "util/rng.h"
 
@@ -64,21 +63,6 @@ std::string canonicalize_uids(const std::string& log) {
   return out.str();
 }
 
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
 /// One trial's complete observable outcome, rendered to a canonical,
 /// process-independent text block. Doubles are serialized as hexfloats
 /// (exact — no rounding slack), the packet log as an FNV-1a hash of its
@@ -96,35 +80,16 @@ std::string dump_trial(int trial, const TableIConfig& config) {
   log.write_ns2(ns2);
   const std::string canonical_log = canonicalize_uids(ns2.str());
 
-  std::ostringstream goodput;
-  for (const double v : r.goodput_bps) goodput << hex_double(v) << ' ';
-
   std::ostringstream out;
   out << "trial " << trial << " protocol " << to_string(config.protocol)
       << " vehicles " << config.vehicles << " sender " << config.sender
       << " seed " << config.seed << '\n'
-      << "tx_packets " << r.tx_packets << '\n'
-      << "rx_packets " << r.rx_packets << '\n'
-      << "pdr " << hex_double(r.pdr) << '\n'
-      << "mean_delay_s " << hex_double(r.mean_delay_s) << '\n'
-      << "max_delay_s " << hex_double(r.max_delay_s) << '\n'
-      << "first_delivery_delay_s " << hex_double(r.first_delivery_delay_s)
-      << '\n'
-      << "mean_hop_count " << hex_double(r.mean_hop_count) << '\n'
-      << "goodput_hash " << fnv1a(goodput.str()) << '\n'
-      << "control_packets " << r.control_packets << '\n'
-      << "control_bytes " << r.control_bytes << '\n'
-      << "route_discoveries " << r.route_discoveries << '\n'
-      << "mac_collisions " << r.mac_collisions << '\n'
-      << "mac_retries " << r.mac_retries << '\n'
-      << "mac_tx_failed " << r.mac_tx_failed << '\n'
-      << "events_dispatched " << r.events_dispatched << '\n'
-      << "channel_utilization " << hex_double(r.channel_utilization) << '\n'
+      << test::dump_result(r)
       << "stats_json " << stats.snapshot().to_json() << '\n'
       << "packet_log_lines " << std::count(canonical_log.begin(),
                                            canonical_log.end(), '\n')
       << '\n'
-      << "packet_log_hash " << fnv1a(canonical_log) << '\n';
+      << "packet_log_hash " << test::fnv1a(canonical_log) << '\n';
   return out.str();
 }
 

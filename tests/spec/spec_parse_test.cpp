@@ -224,6 +224,29 @@ TEST(SpecParseTest, GoodputSurfaceAcceptsSenderRange) {
   EXPECT_EQ(spec.scenario.last_sender, 6u);
 }
 
+// The goodput surface tabulates seconds 10..90 of each run; a shorter run
+// has fewer per-second bins than that table reads.
+TEST(SpecParseTest, GoodputSurfaceShorterThanItsWindowIsRejected) {
+  const std::string what = error_of(R"({"name": "g",
+      "kind": "goodput_surface", "scenario": {"duration_s": 20,
+          "traffic": {"start_s": 5, "stop_s": 15}}})");
+  EXPECT_NE(what.find("$.scenario.duration_s"), std::string::npos) << what;
+  EXPECT_NE(what.find("10-90 s"), std::string::npos) << what;
+  EXPECT_NE(error_of(R"({"name": "g", "kind": "goodput_surface",
+                         "scenario": {"duration_s": 89.5,
+                                      "traffic": {"stop_s": 85}}})")
+                .find("$.scenario.duration_s"),
+            std::string::npos);
+  // The window's end is enough, and campaigns keep any duration.
+  EXPECT_EQ(error_of(R"({"name": "g", "kind": "goodput_surface",
+                         "scenario": {"duration_s": 90}})"),
+            "");
+  EXPECT_EQ(error_of(R"({"name": "c", "kind": "campaign",
+                         "scenario": {"duration_s": 20,
+                                      "traffic": {"stop_s": 15}}})"),
+            "");
+}
+
 TEST(SpecParseTest, SweepingTheSeedIsRejected) {
   EXPECT_NE(error_of(R"({"name": "t", "kind": "campaign", "scenario": {},
                          "sweep": {"axes": [{"param": "seed",
