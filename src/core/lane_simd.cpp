@@ -2,13 +2,12 @@
 
 #include <limits>
 
-// The explicit-intrinsics path compiles only when the build opts in
-// (CAVENET_SIMD, see the top-level CMakeLists option) on an x86-64
-// GCC/Clang toolchain. Functions carry a target("avx2") attribute, so
-// the rest of the TU — and the library — is still built for the base
-// ISA; the runtime cpuid check picks the path once.
-#if defined(CAVENET_SIMD) && CAVENET_SIMD && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
+// The explicit-intrinsics path compiles on every x86-64 GCC/Clang
+// toolchain. Functions carry a target("avx2") attribute, so the rest of
+// the TU — and the library — is still built for the base ISA; the
+// runtime cpuid check picks the path once, which keeps the binary
+// portable to machines without AVX2.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define CAVENET_LANE_SIMD_AVX2 1
 #include <immintrin.h>
 #else
@@ -20,20 +19,12 @@ namespace {
 
 constexpr std::int64_t kI32Max = std::numeric_limits<std::int32_t>::max();
 
-bool detect_avx2() noexcept {
 #if CAVENET_LANE_SIMD_AVX2
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
 
 bool avx2() noexcept {
-  static const bool supported = detect_avx2();
+  static const bool supported = __builtin_cpu_supports("avx2");
   return supported;
 }
-
-#if CAVENET_LANE_SIMD_AVX2
 
 __attribute__((target("avx2"))) void gap_shifted_diff_avx2(
     const std::int64_t* cell, std::int64_t* gap, std::size_t n) noexcept {
@@ -245,8 +236,6 @@ __attribute__((target("avx2"))) std::size_t compress_moving_avx2(
 #endif  // CAVENET_LANE_SIMD_AVX2
 
 }  // namespace
-
-bool active() noexcept { return avx2(); }
 
 void gap_shifted_diff(const std::int64_t* cell, std::int64_t* gap,
                       std::size_t n) noexcept {

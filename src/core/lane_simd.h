@@ -2,10 +2,10 @@
 //
 // Each primitive is a pure array transformation with a well-defined
 // scalar meaning; the .cpp provides a portable scalar implementation
-// (written so the autovectorizer can fold it) and, when the build
-// enables CAVENET_SIMD on x86-64, an explicit AVX2 path selected once at
-// startup via cpuid — never by compiling the whole library for a wider
-// ISA, so the binary still runs on machines without AVX2.
+// (written so the autovectorizer can fold it) and, on x86-64, an
+// explicit AVX2 path selected once at startup via cpuid — never by
+// compiling the whole library for a wider ISA, so the binary still runs
+// on machines without AVX2.
 //
 // Every primitive is exact integer arithmetic: the SIMD and scalar
 // paths produce bit-identical outputs, which the SoA-vs-reference
@@ -18,10 +18,6 @@
 #include <cstdint>
 
 namespace cavenet::ca::simd {
-
-/// True when the AVX2 paths are compiled in AND the running CPU
-/// supports them (always false for non-x86 or CAVENET_SIMD=OFF builds).
-bool active() noexcept;
 
 /// Shifted-difference gap pass: gap[i] = cell[i+1] - cell[i] - 1 for
 /// i in [0, n-1). gap[n-1] is left untouched (the caller patches the

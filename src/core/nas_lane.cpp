@@ -174,13 +174,6 @@ bool NasLane::is_blocked(std::int64_t cell) const noexcept {
   return std::binary_search(blocked_cells_.begin(), blocked_cells_.end(), cell);
 }
 
-void NasLane::bind_stats(obs::StatsRegistry& registry) {
-  obs_steps_ = registry.counter("ca.step.steps");
-  obs_vehicles_ = registry.counter("ca.step.vehicles");
-  obs_draws_ = registry.counter("ca.step.draws");
-  obs_wraps_ = registry.counter("ca.step.wraps");
-}
-
 std::int64_t NasLane::gap_to_block(std::int64_t from_cell) const noexcept {
   if (blocked_cells_.empty()) return params_.lane_length;
   // Nearest blocked cell strictly ahead of from_cell.
@@ -300,7 +293,6 @@ void NasLane::apply_slowdown_and_advance() {
   auto* moving = moving_scratch_.data();
   std::size_t count = simd::compress_moving(vel, state_.head, n, moving);
   count += simd::compress_moving(vel, 0, state_.head, moving + count);
-  obs_draws_.inc(count);
   const std::uint64_t threshold =
       static_cast<std::uint64_t>(std::ceil(p * 9007199254740992.0));
   // Draw through a local generator: the member's state would have to be
@@ -335,10 +327,7 @@ void NasLane::apply_wrap() {
       ++state_.wraps[p];
       ++k;
     }
-    if (k > 0) {
-      state_.head = (state_.head + n - k) % n;
-      obs_wraps_.inc(k);
-    }
+    if (k > 0) state_.head = (state_.head + n - k) % n;
     return;
   }
 
@@ -347,7 +336,6 @@ void NasLane::apply_wrap() {
   std::size_t first = n;
   while (first > 0 && cell[first - 1] >= L) --first;
   if (first == n) return;
-  obs_wraps_.inc(n - first);
   reseat_open_boundary(first);
 }
 
@@ -406,14 +394,11 @@ void NasLane::step() {
   // configuration before anyone moves (paper footnote 1), as fused
   // passes over the SoA arrays. Only the slowdown pass is
   // order-sensitive.
-  const std::size_t n = state_.size();
   compute_gaps_and_clamp();
   apply_slowdown_and_advance();
   apply_wrap();
   ++time_step_;
   invalidate_views();
-  obs_steps_.inc();
-  obs_vehicles_.inc(n);
 }
 
 void NasLane::step_reference() {
@@ -441,13 +426,11 @@ void NasLane::step_reference() {
   };
 
   for (std::size_t i = 0; i < n; ++i) vehicles[i].gap = gap_ahead(i);
-  std::uint64_t draws = 0;
   for (auto& v : vehicles) {
     v.velocity = std::min(v.velocity + 1, params_.v_max);  // rule 1
     v.velocity = static_cast<std::int32_t>(
         std::min<std::int64_t>(v.velocity, v.gap));  // rule 2
     if (params_.slowdown_p > 0.0 && v.velocity > 0) {
-      draws += static_cast<std::uint64_t>(params_.slowdown_p < 1.0);
       if (rng_.bernoulli(params_.slowdown_p)) {
         --v.velocity;  // rule 2'
       }
@@ -504,10 +487,6 @@ void NasLane::step_reference() {
   commit_site_order(vehicles);
   ++time_step_;
   invalidate_views();
-  obs_steps_.inc();
-  obs_vehicles_.inc(n);
-  obs_draws_.inc(draws);
-  obs_wraps_.inc(wrapped);
 }
 
 void NasLane::step_sequential() {

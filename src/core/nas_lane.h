@@ -26,7 +26,6 @@
 #include "core/lane_state.h"
 #include "core/params.h"
 #include "core/vehicle.h"
-#include "obs/stats_registry.h"
 #include "util/rng.h"
 
 namespace cavenet::ca {
@@ -117,13 +116,6 @@ class NasLane {
   void unblock_cell(std::int64_t cell);
   bool is_blocked(std::int64_t cell) const noexcept;
 
-  /// Binds the lane's stepping counters into a registry: "ca.step.steps"
-  /// kernel steps, "ca.step.vehicles" vehicle-updates performed,
-  /// "ca.step.draws" slowdown RNG draws, "ca.step.wraps" boundary
-  /// crossings. Opt-in — unbound lanes (every scenario runner today)
-  /// publish nothing, so run outputs are unchanged.
-  void bind_stats(obs::StatsRegistry& registry);
-
  private:
   /// Free sites until the nearest blocked cell ahead of `from_cell`
   /// (circular on closed lanes); lane_length when none.
@@ -174,11 +166,6 @@ class NasLane {
   // Slowdown-pass scratch: site-order indices of the moving vehicles
   // (simd::compress_moving). Sized once at construction.
   std::vector<std::uint32_t> moving_scratch_;
-
-  obs::Counter obs_steps_;     ///< ca.step.steps
-  obs::Counter obs_vehicles_;  ///< ca.step.vehicles
-  obs::Counter obs_draws_;     ///< ca.step.draws
-  obs::Counter obs_wraps_;     ///< ca.step.wraps
 };
 
 }  // namespace cavenet::ca

@@ -2,13 +2,10 @@
 
 #include <atomic>
 
-#include "obs/stats_registry.h"
-
 namespace cavenet::netsim {
 namespace {
 
 thread_local std::uint64_t cow_detaches = 0;
-thread_local obs::Counter cow_detach_counter;
 
 }  // namespace
 
@@ -58,14 +55,9 @@ detail::HeaderStack& Packet::writable_stack() {
   --stack_->refs;
   stack_ = fresh;
   ++cow_detaches;
-  cow_detach_counter.inc();
   return *stack_;
 }
 
 std::uint64_t Packet::cow_detach_count() noexcept { return cow_detaches; }
-
-void Packet::bind_cow_stats(obs::StatsRegistry& registry) {
-  cow_detach_counter = registry.counter("pkt.cow_detach");
-}
 
 }  // namespace cavenet::netsim

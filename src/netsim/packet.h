@@ -26,10 +26,6 @@
 #include <utility>
 #include <vector>
 
-namespace cavenet::obs {
-class StatsRegistry;
-}  // namespace cavenet::obs
-
 namespace cavenet::netsim {
 
 /// Base class for all protocol headers.
@@ -213,10 +209,6 @@ class Packet {
   /// Copy-on-write detaches performed by this thread since it started
   /// (perf tests / diagnostics; every detach clones the visible stack).
   static std::uint64_t cow_detach_count() noexcept;
-  /// Binds this thread's detach count to a "pkt.cow_detach" counter in
-  /// `registry`. Opt-in: the scenario runners do not bind it, keeping
-  /// their manifests stable.
-  static void bind_cow_stats(obs::StatsRegistry& registry);
 
  private:
   const detail::HeaderSlot* top_slot() const noexcept {

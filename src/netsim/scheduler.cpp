@@ -89,7 +89,6 @@ void Scheduler::grow_slab() {
     free_.push_back(slot_count_ + kChunkSize - 1 - i);
   }
   slot_count_ += kChunkSize;
-  obs_slots_.inc(kChunkSize);
 }
 
 void Scheduler::cancel_event(std::uint32_t slot,
@@ -97,7 +96,6 @@ void Scheduler::cancel_event(std::uint32_t slot,
   if (slot >= slot_count_) return;
   detail::EventRecord& rec = record_at(slot);
   if (rec.generation != generation) return;  // expired or recycled
-  obs_cancelled_.inc();
   if (slot == running_slot_ && generation == running_generation_) {
     // The running event is being cancelled from inside its own dispatch.
     // Its action is executing right now, so only invalidate the handle;
@@ -135,7 +133,6 @@ void Scheduler::maybe_compact() {
   });
   std::make_heap(heap_.begin(), heap_.end(), EntryAfter{});
   tombstones_ = 0;
-  obs_compactions_.inc();
 }
 
 std::uint32_t Scheduler::intern_component(std::string_view component) {
@@ -149,16 +146,6 @@ std::uint32_t Scheduler::intern_component(std::string_view component) {
   }
   components_.push_back(component);
   return static_cast<std::uint32_t>(components_.size() - 1);
-}
-
-void Scheduler::bind_stats(obs::StatsRegistry& registry) {
-  obs_slots_ = registry.counter("sched.pool.slots");
-  obs_action_inline_ = registry.counter("sched.pool.action.inline");
-  obs_action_heap_ = registry.counter("sched.pool.action.heap");
-  obs_cancelled_ = registry.counter("sched.pool.cancelled");
-  obs_compactions_ = registry.counter("sched.pool.compactions");
-  // Re-publish slab capacity grown before the registry was attached.
-  obs_slots_.inc(slot_count_);
 }
 
 }  // namespace cavenet::netsim

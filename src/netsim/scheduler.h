@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/stats_registry.h"
 #include "util/sim_time.h"
 
 namespace cavenet::obs {
@@ -89,10 +88,6 @@ class InlineAction {
 
   void operator()() { ops_->invoke(buf_); }
   explicit operator bool() const noexcept { return ops_ != nullptr; }
-  /// True when the callable lives in the inline buffer (perf counters).
-  bool inline_stored() const noexcept {
-    return ops_ != nullptr && !ops_->heap;
-  }
   void reset() noexcept {
     if (ops_ != nullptr) {
       ops_->destroy(buf_);
@@ -105,7 +100,6 @@ class InlineAction {
     void (*invoke)(void*);
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void*) noexcept;
-    bool heap;
   };
 
   template <typename Fn, bool Heap>
@@ -119,7 +113,7 @@ class InlineAction {
       static_cast<Fn*>(src)->~Fn();
     }
     static void destroy(void* p) noexcept { static_cast<Fn*>(p)->~Fn(); }
-    static constexpr Ops kOps{&invoke, &relocate, &destroy, false};
+    static constexpr Ops kOps{&invoke, &relocate, &destroy};
   };
 
   template <typename Fn>
@@ -130,7 +124,7 @@ class InlineAction {
       ::new (dst) Fn*(box(src));
     }
     static void destroy(void* p) noexcept { delete box(p); }
-    static constexpr Ops kOps{&invoke, &relocate, &destroy, true};
+    static constexpr Ops kOps{&invoke, &relocate, &destroy};
   };
 
   alignas(void*) std::byte buf_[kCapacity];
@@ -199,11 +193,6 @@ class Scheduler {
     const std::uint32_t slot = acquire_slot(at);
     detail::EventRecord& rec = record_at(slot);
     rec.action.emplace(std::forward<F>(action));
-    if constexpr (detail::InlineAction::fits_inline<std::decay_t<F>>()) {
-      obs_action_inline_.inc();
-    } else {
-      obs_action_heap_.inc();
-    }
     rec.component_id =
         component.empty() ? 0 : intern_component(component);
     const std::uint32_t generation = rec.generation;
@@ -238,13 +227,6 @@ class Scheduler {
   void set_profiler(obs::KernelProfiler* profiler) noexcept {
     profiler_ = profiler;
   }
-
-  /// Binds the pool's counters into a registry: "sched.pool.slots"
-  /// (slab capacity grown), "sched.pool.action.inline" /
-  /// "sched.pool.action.heap" (where actions were stored),
-  /// "sched.pool.cancelled" and "sched.pool.compactions". Opt-in: the
-  /// scenario runners do not bind these, keeping their manifests stable.
-  void bind_stats(obs::StatsRegistry& registry);
 
  private:
   friend class EventId;
@@ -331,12 +313,6 @@ class Scheduler {
   std::uint64_t dispatched_ = 0;
   SimTime last_dispatched_ = SimTime::zero();
   obs::KernelProfiler* profiler_ = nullptr;
-
-  obs::Counter obs_slots_;              ///< sched.pool.slots
-  obs::Counter obs_action_inline_;      ///< sched.pool.action.inline
-  obs::Counter obs_action_heap_;        ///< sched.pool.action.heap
-  obs::Counter obs_cancelled_;          ///< sched.pool.cancelled
-  obs::Counter obs_compactions_;        ///< sched.pool.compactions
 };
 
 inline void EventId::cancel() noexcept {

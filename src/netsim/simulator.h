@@ -24,7 +24,6 @@
 
 namespace cavenet::obs {
 class KernelProfiler;
-class StatsRegistry;
 class TraceSink;
 }  // namespace cavenet::obs
 
@@ -95,11 +94,6 @@ class Simulator {
   /// Attaches (nullptr detaches) a kernel profiler; see Scheduler.
   void set_profiler(obs::KernelProfiler* profiler) noexcept {
     scheduler_.set_profiler(profiler);
-  }
-
-  /// Binds the scheduler pool's sched.pool.* counters; see Scheduler.
-  void bind_kernel_stats(obs::StatsRegistry& registry) {
-    scheduler_.bind_stats(registry);
   }
 
   /// Attaches (nullptr detaches) a sink for kernel-emitted trace events

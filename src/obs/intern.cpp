@@ -30,9 +30,4 @@ std::string_view intern(std::string_view s) {
   return *t.emplace(s).first;
 }
 
-std::size_t intern_table_size() noexcept {
-  const std::lock_guard<std::mutex> lock(table_mutex);
-  return table().size();
-}
-
 }  // namespace cavenet::obs

@@ -17,9 +17,6 @@ namespace cavenet::obs {
 /// same view. The returned view's data() is NUL-terminated.
 std::string_view intern(std::string_view s);
 
-/// Number of distinct strings interned so far (for tests/diagnostics).
-std::size_t intern_table_size() noexcept;
-
 }  // namespace cavenet::obs
 
 #endif  // CAVENET_OBS_INTERN_H

@@ -1,11 +1,12 @@
-// Log-bucketed quantile histogram (HDR-histogram style).
+// Log-bucketed quantile histogram (HDR-histogram style): the stats
+// registry's one distribution kind.
 //
-// The coarse power-of-two HistogramData answers "roughly how big" but its
-// quantiles carry up to 2x error — useless for the p95/p99 delay figures
-// the robustness studies report. QuantileHistogramData subdivides every
-// power-of-two decade into 2^kSubBucketBits linear sub-buckets, bounding
-// the relative quantile error by 1/2^kSubBucketBits (3.125%) over the
-// whole range while keeping observe() a branch-light array increment.
+// Plain power-of-two buckets would carry up to 2x quantile error —
+// useless for the p95/p99 delay figures the robustness studies report.
+// QuantileHistogramData subdivides every power-of-two decade into
+// 2^kSubBucketBits linear sub-buckets, bounding the relative quantile
+// error by 1/2^kSubBucketBits (3.125%) over the whole range while keeping
+// observe() a branch-light array increment.
 //
 // The bucket layout is FIXED at compile time (no per-instance resizing or
 // rescaling), so merging two histograms is a plain bucket-wise add: the
@@ -66,7 +67,7 @@ struct QuantileHistogramData {
   std::vector<std::pair<double, std::uint64_t>> cdf() const;
 };
 
-/// Registry handle mirroring Counter/Gauge/Histogram: unbound handles
+/// Registry handle mirroring Counter/Gauge: unbound handles
 /// observe into a thread-local discard cell, so instrumented hot paths
 /// need no null checks and never allocate.
 class Quantile {

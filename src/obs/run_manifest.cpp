@@ -181,60 +181,7 @@ RunManifest RunManifest::from_json(std::string_view json) {
     m.events_per_wall_second = v->number;
   }
   if (const JsonValue* v = doc.find("stats")) {
-    // Re-serialize is wasteful but keeps one parsing path; manifests are
-    // small and this runs off the hot path.
-    StatsSnapshot snap;
-    for (const auto& [section, entries] : v->object) {
-      if (section == "counters") {
-        for (const auto& [name, value] : entries.object) {
-          snap.counters.emplace_back(name,
-                                     static_cast<std::uint64_t>(value.number));
-        }
-      } else if (section == "gauges") {
-        for (const auto& [name, value] : entries.object) {
-          snap.gauges.emplace_back(name, value.number);
-        }
-      } else if (section == "histograms") {
-        for (const auto& [name, value] : entries.object) {
-          StatsSnapshot::HistogramSummary h;
-          h.name = name;
-          if (const JsonValue* f = value.find("count")) {
-            h.count = static_cast<std::uint64_t>(f->number);
-          }
-          if (const JsonValue* f = value.find("sum")) h.sum = f->number;
-          if (const JsonValue* f = value.find("min")) h.min = f->number;
-          if (const JsonValue* f = value.find("max")) h.max = f->number;
-          if (const JsonValue* f = value.find("p50")) h.p50 = f->number;
-          if (const JsonValue* f = value.find("p99")) h.p99 = f->number;
-          snap.histograms.push_back(std::move(h));
-        }
-      } else if (section == "quantiles") {
-        for (const auto& [name, value] : entries.object) {
-          StatsSnapshot::QuantileSummary q;
-          q.name = name;
-          if (const JsonValue* f = value.find("count")) {
-            q.count = static_cast<std::uint64_t>(f->number);
-          }
-          if (const JsonValue* f = value.find("sum")) q.sum = f->number;
-          if (const JsonValue* f = value.find("min")) q.min = f->number;
-          if (const JsonValue* f = value.find("max")) q.max = f->number;
-          if (const JsonValue* f = value.find("p50")) q.p50 = f->number;
-          if (const JsonValue* f = value.find("p90")) q.p90 = f->number;
-          if (const JsonValue* f = value.find("p95")) q.p95 = f->number;
-          if (const JsonValue* f = value.find("p99")) q.p99 = f->number;
-          if (const JsonValue* f = value.find("cdf")) {
-            for (const auto& point : f->array) {
-              if (point.array.size() != 2) continue;
-              q.cdf.emplace_back(
-                  point.array[0].number,
-                  static_cast<std::uint64_t>(point.array[1].number));
-            }
-          }
-          snap.quantiles.push_back(std::move(q));
-        }
-      }
-    }
-    m.stats = std::move(snap);
+    m.stats = StatsSnapshot::from_json(*v);
   }
   return m;
 }

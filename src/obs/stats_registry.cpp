@@ -1,7 +1,6 @@
 #include "obs/stats_registry.h"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <stdexcept>
 
@@ -11,62 +10,6 @@ namespace cavenet::obs {
 
 thread_local std::uint64_t Counter::discard_ = 0;
 thread_local double Gauge::discard_ = 0.0;
-thread_local HistogramData Histogram::discard_{};
-
-namespace {
-
-int bucket_index(double v) noexcept {
-  if (!(v > 0.0)) return 0;
-  const int exp = static_cast<int>(std::ceil(std::log2(v)));
-  const int idx = exp + HistogramData::kZeroBucket;
-  if (idx < 0) return 0;
-  if (idx >= HistogramData::kBucketCount) return HistogramData::kBucketCount - 1;
-  return idx;
-}
-
-double bucket_bound(int idx) noexcept {
-  return std::ldexp(1.0, idx - HistogramData::kZeroBucket);
-}
-
-}  // namespace
-
-void HistogramData::observe(double v) noexcept {
-  if (count == 0) {
-    min = v;
-    max = v;
-  } else {
-    if (v < min) min = v;
-    if (v > max) max = v;
-  }
-  ++count;
-  sum += v;
-  ++buckets[static_cast<std::size_t>(bucket_index(v))];
-}
-
-void HistogramData::merge(const HistogramData& other) noexcept {
-  if (other.count == 0) return;
-  if (count == 0) {
-    min = other.min;
-    max = other.max;
-  } else {
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-  }
-  count += other.count;
-  sum += other.sum;
-  for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] += other.buckets[i];
-}
-
-double HistogramData::quantile_bound(double q) const noexcept {
-  if (count == 0) return 0.0;
-  const double target = q * static_cast<double>(count);
-  std::uint64_t seen = 0;
-  for (int i = 0; i < kBucketCount; ++i) {
-    seen += buckets[static_cast<std::size_t>(i)];
-    if (static_cast<double>(seen) >= target) return bucket_bound(i);
-  }
-  return max;
-}
 
 Counter StatsRegistry::counter(std::string_view name) {
   const auto it = counters_.find(name);
@@ -78,13 +21,6 @@ Gauge StatsRegistry::gauge(std::string_view name) {
   const auto it = gauges_.find(name);
   if (it != gauges_.end()) return Gauge(&it->second);
   return Gauge(&gauges_.emplace(std::string(name), 0.0).first->second);
-}
-
-Histogram StatsRegistry::histogram(std::string_view name) {
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return Histogram(&it->second);
-  return Histogram(
-      &histograms_.emplace(std::string(name), HistogramData{}).first->second);
 }
 
 Quantile StatsRegistry::quantile(std::string_view name) {
@@ -100,14 +36,6 @@ void StatsRegistry::merge_from(const StatsRegistry& other) {
   }
   for (const auto& [name, value] : other.gauges_) {
     gauge(name).set(value);
-  }
-  for (const auto& [name, data] : other.histograms_) {
-    const auto it = histograms_.find(name);
-    if (it != histograms_.end()) {
-      it->second.merge(data);
-    } else {
-      histograms_.emplace(name, data);
-    }
   }
   for (const auto& [name, data] : other.quantiles_) {
     const auto it = quantiles_.find(name);
@@ -125,18 +53,6 @@ StatsSnapshot StatsRegistry::snapshot() const {
   for (const auto& [name, value] : counters_) snap.counters.emplace_back(name, value);
   snap.gauges.reserve(gauges_.size());
   for (const auto& [name, value] : gauges_) snap.gauges.emplace_back(name, value);
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, data] : histograms_) {
-    StatsSnapshot::HistogramSummary h;
-    h.name = name;
-    h.count = data.count;
-    h.sum = data.sum;
-    h.min = data.min;
-    h.max = data.max;
-    h.p50 = data.quantile_bound(0.50);
-    h.p99 = data.quantile_bound(0.99);
-    snap.histograms.push_back(std::move(h));
-  }
   snap.quantiles.reserve(quantiles_.size());
   for (const auto& [name, data] : quantiles_) {
     StatsSnapshot::QuantileSummary q;
@@ -178,24 +94,6 @@ const StatsSnapshot::QuantileSummary* StatsSnapshot::quantile(
 }
 
 namespace {
-
-void write_histogram_summary(JsonWriter& w,
-                             const StatsSnapshot::HistogramSummary& h) {
-  w.begin_object();
-  w.key("count");
-  w.value(h.count);
-  w.key("sum");
-  w.value(h.sum);
-  w.key("min");
-  w.value(h.min);
-  w.key("max");
-  w.value(h.max);
-  w.key("p50");
-  w.value(h.p50);
-  w.key("p99");
-  w.value(h.p99);
-  w.end_object();
-}
 
 void write_quantile_summary(JsonWriter& w,
                             const StatsSnapshot::QuantileSummary& q) {
@@ -269,10 +167,6 @@ std::string StatsSnapshot::to_json() const {
   w.end_object();
   w.key("histograms");
   w.begin_object();
-  for (const auto& h : histograms) {
-    w.key(h.name);
-    write_histogram_summary(w, h);
-  }
   w.end_object();
   w.key("quantiles");
   w.begin_object();
@@ -314,22 +208,13 @@ std::string StatsSnapshot::to_json_delta(const StatsSnapshot& baseline) const {
   w.end_object();
   w.key("histograms");
   w.begin_object();
-  {
-    auto it = baseline.histograms.begin();
-    for (const auto& h : histograms) {
-      // observe() always bumps count, so equal counts mean unchanged.
-      const auto* prev = find_sorted_named(baseline.histograms, it, h.name);
-      if (prev != nullptr && prev->count == h.count) continue;
-      w.key(h.name);
-      write_histogram_summary(w, h);
-    }
-  }
   w.end_object();
   w.key("quantiles");
   w.begin_object();
   {
     auto it = baseline.quantiles.begin();
     for (const auto& q : quantiles) {
+      // observe() always bumps count, so equal counts mean unchanged.
       const auto* prev = find_sorted_named(baseline.quantiles, it, q.name);
       if (prev != nullptr && prev->count == q.count) continue;
       w.key(q.name);
@@ -342,7 +227,10 @@ std::string StatsSnapshot::to_json_delta(const StatsSnapshot& baseline) const {
 }
 
 StatsSnapshot StatsSnapshot::from_json(std::string_view json) {
-  const JsonValue doc = parse_json(json);
+  return from_json(parse_json(json));
+}
+
+StatsSnapshot StatsSnapshot::from_json(const JsonValue& doc) {
   if (!doc.is_object()) throw std::runtime_error("stats snapshot: not an object");
   StatsSnapshot snap;
   if (const JsonValue* counters = doc.find("counters")) {
@@ -354,21 +242,6 @@ StatsSnapshot StatsSnapshot::from_json(std::string_view json) {
   if (const JsonValue* gauges = doc.find("gauges")) {
     for (const auto& [name, value] : gauges->object) {
       snap.gauges.emplace_back(name, value.number);
-    }
-  }
-  if (const JsonValue* histograms = doc.find("histograms")) {
-    for (const auto& [name, value] : histograms->object) {
-      HistogramSummary h;
-      h.name = name;
-      if (const JsonValue* v = value.find("count")) {
-        h.count = static_cast<std::uint64_t>(v->number);
-      }
-      if (const JsonValue* v = value.find("sum")) h.sum = v->number;
-      if (const JsonValue* v = value.find("min")) h.min = v->number;
-      if (const JsonValue* v = value.find("max")) h.max = v->number;
-      if (const JsonValue* v = value.find("p50")) h.p50 = v->number;
-      if (const JsonValue* v = value.find("p99")) h.p99 = v->number;
-      snap.histograms.push_back(std::move(h));
     }
   }
   if (const JsonValue* quantiles = doc.find("quantiles")) {
@@ -405,7 +278,6 @@ void StatsSnapshot::write_table(std::ostream& out) const {
   std::size_t width = 0;
   for (const auto& [name, value] : counters) width = std::max(width, name.size());
   for (const auto& [name, value] : gauges) width = std::max(width, name.size());
-  for (const auto& h : histograms) width = std::max(width, h.name.size());
   for (const auto& q : quantiles) width = std::max(width, q.name.size());
 
   const auto pad = [&](const std::string& name) {
@@ -423,16 +295,6 @@ void StatsSnapshot::write_table(std::ostream& out) const {
     for (const auto& [name, value] : gauges) {
       pad(name);
       out << value << "\n";
-    }
-  }
-  if (!histograms.empty()) {
-    out << "histograms:\n";
-    for (const auto& h : histograms) {
-      pad(h.name);
-      out << "count=" << h.count << " mean="
-          << (h.count == 0 ? 0.0 : h.sum / static_cast<double>(h.count))
-          << " min=" << h.min << " max=" << h.max << " p50<=" << h.p50
-          << " p99<=" << h.p99 << "\n";
     }
   }
   if (!quantiles.empty()) {

@@ -1,4 +1,5 @@
-// StatsRegistry: named counters, gauges and histograms for the simulator.
+// StatsRegistry: named counters, gauges and quantile histograms for the
+// simulator.
 //
 // Components register once ("mac.tx.data", "aodv.rreq.sent", ...) and get
 // back a lightweight handle; the hot-path increment is a single add
@@ -12,7 +13,6 @@
 #ifndef CAVENET_OBS_STATS_REGISTRY_H
 #define CAVENET_OBS_STATS_REGISTRY_H
 
-#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -24,6 +24,8 @@
 #include "obs/quantile_histogram.h"
 
 namespace cavenet::obs {
+
+struct JsonValue;
 
 /// Monotonically increasing event count.
 class Counter {
@@ -63,58 +65,10 @@ class Gauge {
   double* cell_ = &discard_;
 };
 
-/// Power-of-two-bucketed value distribution (delays, sizes, durations).
-struct HistogramData {
-  /// buckets[i] counts observations with value <= 2^(i - kZeroBucket);
-  /// bucket 0 additionally holds everything below the smallest bound.
-  static constexpr int kBucketCount = 64;
-  static constexpr int kZeroBucket = 32;
-
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  std::array<std::uint64_t, kBucketCount> buckets{};
-
-  void observe(double v) noexcept;
-  double mean() const noexcept { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
-  /// Upper bucket bound containing quantile `q` in [0,1]; 0 when empty.
-  double quantile_bound(double q) const noexcept;
-  /// Folds `other`'s observations into this distribution (bucket-wise).
-  void merge(const HistogramData& other) noexcept;
-};
-
-class Histogram {
- public:
-  Histogram() noexcept = default;
-
-  void observe(double v) noexcept { data_->observe(v); }
-  const HistogramData& data() const noexcept { return *data_; }
-  bool bound() const noexcept { return data_ != &discard_; }
-
- private:
-  friend class StatsRegistry;
-  explicit Histogram(HistogramData* data) noexcept : data_(data) {}
-
-  static thread_local HistogramData discard_;
-  HistogramData* data_ = &discard_;
-};
-
 /// Point-in-time copy of a registry, detached from the live cells.
 struct StatsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;  ///< sorted
   std::vector<std::pair<std::string, double>> gauges;           ///< sorted
-
-  struct HistogramSummary {
-    std::string name;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double p50 = 0.0;  ///< bucket-bound approximations
-    double p99 = 0.0;
-  };
-  std::vector<HistogramSummary> histograms;  ///< sorted
 
   /// Fine-grained quantile histogram (see quantile_histogram.h): the
   /// standard percentiles plus the full CDF over non-empty buckets.
@@ -138,6 +92,10 @@ struct StatsSnapshot {
   /// Quantile summary by name, or nullptr when absent.
   const QuantileSummary* quantile(std::string_view name) const noexcept;
 
+  /// Writes four sections; "histograms" is always empty. Quantile is the
+  /// only distribution kind, but run manifests, telemetry streams, the
+  /// golden fixtures and the benchmark digests all carry that key, so
+  /// dropping it would change every published byte.
   std::string to_json() const;
   /// Same sectioned shape as to_json but holding only the entries that
   /// differ from `baseline` (values stay absolute, not differences). New
@@ -145,9 +103,13 @@ struct StatsSnapshot {
   /// registries only grow, so that never happens between two snapshots
   /// of one run.
   std::string to_json_delta(const StatsSnapshot& baseline) const;
-  /// Inverse of to_json (histogram buckets are not restored, summaries
-  /// are). Throws std::runtime_error on malformed input.
+  /// Inverse of to_json (quantile buckets are not restored, summaries
+  /// are; the "histograms" section is ignored). Throws std::runtime_error
+  /// on malformed input.
   static StatsSnapshot from_json(std::string_view json);
+  /// Same, for an already parsed document such as a run manifest's
+  /// "stats" member: the one reader of the stats JSON.
+  static StatsSnapshot from_json(const JsonValue& doc);
 
   /// Aligned "name value" table grouped by top-level prefix.
   void write_table(std::ostream& out) const;
@@ -165,19 +127,17 @@ class StatsRegistry {
   /// naturally aggregate by sharing a name.
   Counter counter(std::string_view name);
   Gauge gauge(std::string_view name);
-  Histogram histogram(std::string_view name);
   Quantile quantile(std::string_view name);
 
   std::size_t size() const noexcept {
-    return counters_.size() + gauges_.size() + histograms_.size() +
-           quantiles_.size();
+    return counters_.size() + gauges_.size() + quantiles_.size();
   }
 
   StatsSnapshot snapshot() const;
   void write_table(std::ostream& out) const;
 
   /// Folds `other` into this registry, reproducing what sequential reuse
-  /// of ONE shared registry would have recorded: counters and histogram
+  /// of ONE shared registry would have recorded: counters and quantile
   /// observations accumulate; gauges present in `other` overwrite (the
   /// simulator only set()s gauges, so the later run wins, exactly as it
   /// would writing into a shared registry). The ensemble runner merges
@@ -189,7 +149,6 @@ class StatsRegistry {
   // std::map: node-based, so cell addresses are stable across inserts.
   std::map<std::string, std::uint64_t, std::less<>> counters_;
   std::map<std::string, double, std::less<>> gauges_;
-  std::map<std::string, HistogramData, std::less<>> histograms_;
   std::map<std::string, QuantileHistogramData, std::less<>> quantiles_;
 };
 

@@ -5,7 +5,7 @@
 // and appends one JSONL line per sample:
 //
 //   {"seq":0,"t_s":1.5,"stats":{"counters":{...},"gauges":{...},
-//    "histograms":{...},"quantiles":{...}}}
+//    "histograms":{},"quantiles":{...}}}
 //
 // Samples are keyed on *simulation* time and contain only registry state,
 // so the stream is a pure function of (build, seed, params): running the

@@ -134,7 +134,6 @@ class Channel {
   std::uint32_t strips() const noexcept { return strips_; }
 
   PropagationModel& propagation() noexcept { return *model_; }
-  ChannelIndex index_mode() const noexcept { return index_; }
 
   /// Binds the channel's culling counters into a registry:
   /// "chan.tx" transmissions carried, "chan.evaluated" receive-power

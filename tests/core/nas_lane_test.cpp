@@ -347,20 +347,5 @@ TEST(NasLaneTest, ExportCumulativePositionsMatchesScalarObserver) {
   }
 }
 
-TEST(NasLaneTest, StatsCountersTrackStepping) {
-  obs::StatsRegistry registry;
-  NasLane lane(default_params(100, 0.5), 30, InitialPlacement::kRandom,
-               Rng(5));
-  lane.bind_stats(registry);
-  lane.run(20);
-  EXPECT_EQ(registry.counter("ca.step.steps").value(), 20u);
-  EXPECT_EQ(registry.counter("ca.step.vehicles").value(), 600u);
-  // With p in (0,1) every moving vehicle draws; 20 steps of 30 vehicles
-  // bounds the draw count, and a closed ring at this density certainly
-  // kept someone moving.
-  EXPECT_GT(registry.counter("ca.step.draws").value(), 0u);
-  EXPECT_LE(registry.counter("ca.step.draws").value(), 600u);
-}
-
 }  // namespace
 }  // namespace cavenet::ca

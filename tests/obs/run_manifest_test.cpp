@@ -142,6 +142,9 @@ TEST(RunManifestTest, StripVolatileKeepsQuantiles) {
 TEST(RunManifestTest, FromJsonRejectsGarbage) {
   EXPECT_THROW(RunManifest::from_json("not json"), std::runtime_error);
   EXPECT_THROW(RunManifest::from_json("[1,2,3]"), std::runtime_error);
+  EXPECT_THROW(RunManifest::from_json(
+                   R"({"stats":{"quantiles":{"d":{"count":1,"cdf":[[1]]}}}})"),
+               std::runtime_error);
 }
 
 TEST(RunManifestTest, BuildVersionNonEmpty) {

@@ -10,13 +10,13 @@ namespace {
 TEST(StatsRegistryTest, UnboundHandlesDiscard) {
   Counter c;
   Gauge g;
-  Histogram h;
+  Quantile q;
   EXPECT_FALSE(c.bound());
   EXPECT_FALSE(g.bound());
-  EXPECT_FALSE(h.bound());
+  EXPECT_FALSE(q.bound());
   c.inc(5);
   g.set(1.5);
-  h.observe(3.0);
+  q.observe(3.0);
   // Discarded, and a fresh unbound handle reads zero regardless of what
   // earlier unbound handles wrote.
   EXPECT_EQ(c.value(), Counter().value());
@@ -43,22 +43,6 @@ TEST(StatsRegistryTest, GaugeSetAndAdd) {
   EXPECT_DOUBLE_EQ(g.value(), 0.75);
 }
 
-TEST(StatsRegistryTest, HistogramSummaries) {
-  StatsRegistry registry;
-  Histogram h = registry.histogram("delay_ms");
-  for (int i = 1; i <= 100; ++i) h.observe(static_cast<double>(i));
-  const StatsSnapshot snap = registry.snapshot();
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  const auto& s = snap.histograms.front();
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.sum, 5050.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  // Power-of-2 bucket bounds: the quantile is an upper bound, within 2x.
-  EXPECT_GE(s.p50, 50.0);
-  EXPECT_LE(s.p50, 128.0);
-}
-
 TEST(StatsRegistryTest, SnapshotSortedAndQueryable) {
   StatsRegistry registry;
   registry.counter("b.second").inc(2);
@@ -77,13 +61,24 @@ TEST(StatsRegistryTest, SnapshotJsonRoundTrip) {
   StatsRegistry registry;
   registry.counter("mac.tx.data").inc(123);
   registry.gauge("chan.utilization").set(0.5);
-  registry.histogram("hist").observe(4.0);
+  registry.quantile("delay").observe(4.0);
   const StatsSnapshot snap = registry.snapshot();
   const StatsSnapshot parsed = StatsSnapshot::from_json(snap.to_json());
   EXPECT_EQ(parsed.counter("mac.tx.data"), 123u);
   EXPECT_DOUBLE_EQ(parsed.gauge("chan.utilization"), 0.5);
-  ASSERT_EQ(parsed.histograms.size(), 1u);
-  EXPECT_EQ(parsed.histograms.front().count, 1u);
+  ASSERT_EQ(parsed.quantiles.size(), 1u);
+  EXPECT_EQ(parsed.quantiles.front().count, 1u);
+}
+
+TEST(StatsRegistryTest, EmptySnapshotKeepsEverySection) {
+  // Manifests, telemetry lines and the benchmark digests are hashed over
+  // these four sections, "histograms" included, so both forms must keep
+  // writing all of them even when there is nothing to report.
+  const StatsSnapshot empty = StatsRegistry().snapshot();
+  const std::string sections =
+      R"({"counters":{},"gauges":{},"histograms":{},"quantiles":{}})";
+  EXPECT_EQ(empty.to_json(), sections);
+  EXPECT_EQ(empty.to_json_delta(empty), sections);
 }
 
 TEST(StatsRegistryTest, WriteTableContainsNames) {

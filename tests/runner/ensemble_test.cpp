@@ -116,7 +116,7 @@ TEST(EnsembleRunnerTest, MergedStatsAreIdenticalForAnyJobsCount) {
           ctx.stats->counter("runs").inc();
           ctx.stats->counter("work.items").inc(ctx.index);
           ctx.stats->gauge("last.index").set(static_cast<double>(ctx.index));
-          ctx.stats->histogram("index.hist").observe(
+          ctx.stats->quantile("index.quantile").observe(
               static_cast<double>(ctx.index));
         },
         &merged);

@@ -6,10 +6,10 @@
 // fixture captured from the pre-pool kernel. Any behavioural drift in the
 // scheduler or packet layer fails the gate byte-for-byte.
 //
-// Regenerate the fixture (only when a PR *intentionally* changes
-// simulation behaviour) with:
-//   CAVENET_REGEN_GOLDEN=1 ./scenario_equivalence_tests \
-//       --gtest_filter='PoolEquivalenceTest.*'
+// Regenerate the fixture (only when a change *intentionally* alters
+// simulation behaviour) from the build's tests directory with:
+//   CAVENET_REGEN_GOLDEN=1 ./kernel_equivalence_tests
+// (this file is the binary's only source).
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
