@@ -3,10 +3,12 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "scenario/run_dump.h"
 #include "util/rng.h"
 
 namespace cavenet::analysis {
@@ -66,6 +68,26 @@ TEST(PeriodogramTest, ParsevalForWhiteNoise) {
   const double df = spec.frequency[1] - spec.frequency[0];
   for (const double p : spec.power) integral += p * df;
   EXPECT_NEAR(integral, 1.0, 0.15);
+}
+
+// Pins the exact bits fig7's CSV is built from. Length 1000 pads to 1024,
+// so the zero-padding path runs.
+TEST(PeriodogramTest, OutputIsBitIdenticalToPinnedDigest) {
+  using scenario::test::fnv1a;
+  using scenario::test::hex_double;
+  Rng rng(7);
+  std::vector<double> signal = sine(1000, 0.05);
+  for (double& x : signal) x += rng.normal();
+  const auto spec = periodogram(signal);
+  ASSERT_EQ(spec.frequency.size(), 512u);
+  ASSERT_EQ(spec.power.size(), 512u);
+  std::string text;
+  for (std::size_t k = 0; k < spec.frequency.size(); ++k) {
+    text += hex_double(spec.frequency[k]) + ' ' + hex_double(spec.power[k]) +
+            '\n';
+  }
+  EXPECT_EQ(fnv1a(text), 16035762471541743071ull)
+      << "periodogram output changed";
 }
 
 TEST(WelchTest, RejectsBadSegment) {

@@ -1,10 +1,12 @@
 // Pins the spec-engine migration: running the checked-in figure specs
 // must write byte-identical CSV + stripped-manifest artifacts to the
 // hardcoded drivers the benches used before the migration (replicated
-// inline here), at --jobs 1 and --jobs 4 alike.
+// inline here), at --jobs 1 and --jobs 4 alike; and every checked-in
+// example spec must write the same output tree at --jobs 1 and 4.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -182,6 +184,46 @@ TEST(GoldenEquivalenceTest, Fig4SpecMatchesHardcodedDriverAtAnyJobs) {
     EXPECT_EQ(slurp(dir / "fig4_fundamental_diagram.manifest.json"),
               golden.manifest)
         << "manifest diverged from the hardcoded driver at --jobs " << jobs;
+  }
+}
+
+/// Relative path -> bytes of every file under `dir`, in path order.
+std::map<std::string, std::string> tree_bytes(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    files[fs::relative(entry.path(), dir).generic_string()] =
+        slurp(entry.path());
+  }
+  return files;
+}
+
+TEST(GoldenEquivalenceTest, EveryExampleSpecIsIdenticalAtJobsOneAndFour) {
+  std::vector<fs::path> specs;
+  for (const auto& entry : fs::directory_iterator(CAVENET_SPEC_DIR)) {
+    if (entry.path().extension() == ".json") specs.push_back(entry.path());
+  }
+  std::sort(specs.begin(), specs.end());
+  ASSERT_FALSE(specs.empty());
+
+  for (const fs::path& path : specs) {
+    SCOPED_TRACE(path.filename().string());
+    const CampaignSpec spec = load_campaign_file(path.string());
+    const std::string stem = path.stem().string();
+    const fs::path one = fresh_dir("every_spec_jobs1_" + stem);
+    const fs::path four = fresh_dir("every_spec_jobs4_" + stem);
+    run_spec_into(spec, 1, one);
+    run_spec_into(spec, 4, four);
+    const auto at_one = tree_bytes(one);
+    const auto at_four = tree_bytes(four);
+    ASSERT_FALSE(at_one.empty());
+    ASSERT_EQ(at_one.size(), at_four.size());
+    for (const auto& [name, bytes] : at_one) {
+      const auto match = at_four.find(name);
+      ASSERT_NE(match, at_four.end()) << name << " missing at --jobs 4";
+      EXPECT_EQ(bytes, match->second)
+          << name << " differs between --jobs 1 and 4";
+    }
   }
 }
 
