@@ -59,12 +59,4 @@ void ifft_in_place(std::span<std::complex<double>> data) {
   transform(data, /*inverse=*/true);
 }
 
-std::vector<std::complex<double>> fft_real(std::span<const double> signal) {
-  const std::size_t padded = next_power_of_two(std::max<std::size_t>(signal.size(), 1));
-  std::vector<std::complex<double>> data(padded);
-  for (std::size_t i = 0; i < signal.size(); ++i) data[i] = signal[i];
-  fft_in_place(data);
-  return data;
-}
-
 }  // namespace cavenet::analysis

@@ -7,7 +7,6 @@
 
 #include <complex>
 #include <span>
-#include <vector>
 
 namespace cavenet::analysis {
 
@@ -24,10 +23,6 @@ void fft_in_place(std::span<std::complex<double>> data);
 
 /// In-place inverse FFT (includes the 1/N scaling).
 void ifft_in_place(std::span<std::complex<double>> data);
-
-/// Forward FFT of a real signal, zero-padded to the next power of two.
-/// Returns the full complex spectrum (length = padded size).
-std::vector<std::complex<double>> fft_real(std::span<const double> signal);
 
 }  // namespace cavenet::analysis
 

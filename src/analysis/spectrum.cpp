@@ -1,100 +1,31 @@
 #include "analysis/spectrum.h"
 
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 #include "analysis/fft.h"
 #include "analysis/stats.h"
 
 namespace cavenet::analysis {
-namespace {
 
-double window_value(Window window, std::size_t i, std::size_t n) noexcept {
-  const double x = static_cast<double>(i) / static_cast<double>(n - 1);
-  switch (window) {
-    case Window::kRectangular:
-      return 1.0;
-    case Window::kHann:
-      return 0.5 - 0.5 * std::cos(2.0 * std::numbers::pi * x);
-    case Window::kHamming:
-      return 0.54 - 0.46 * std::cos(2.0 * std::numbers::pi * x);
-  }
-  return 1.0;
-}
-
-/// Periodogram of one (already detrended) segment, accumulated into `acc`.
-/// Returns the window power normalization U = sum(w^2)/n.
-void accumulate_segment(std::span<const double> segment, Window window,
-                        double sample_rate, std::vector<double>& acc) {
-  const std::size_t n = next_power_of_two(segment.size());
-  std::vector<std::complex<double>> data(n);
-  double window_power = 0.0;
-  for (std::size_t i = 0; i < segment.size(); ++i) {
-    const double w = window_value(window, i, segment.size());
-    window_power += w * w;
-    data[i] = segment[i] * w;
-  }
-  fft_in_place(data);
-  const double norm = 1.0 / (sample_rate * window_power);
-  const std::size_t half = n / 2;
-  if (acc.size() != half) acc.assign(half, 0.0);
-  for (std::size_t k = 1; k <= half; ++k) {
-    // One-sided PSD: double everything except Nyquist.
-    const double mag2 = std::norm(data[k]);
-    acc[k - 1] += (k == half ? 1.0 : 2.0) * mag2 * norm;
-  }
-}
-
-Spectrum finalize(std::vector<double> acc, std::size_t padded,
-                  std::size_t segments, double sample_rate) {
-  Spectrum out;
-  out.frequency.reserve(acc.size());
-  out.power.reserve(acc.size());
-  for (std::size_t k = 1; k <= acc.size(); ++k) {
-    out.frequency.push_back(sample_rate * static_cast<double>(k) /
-                            static_cast<double>(padded));
-    out.power.push_back(acc[k - 1] / static_cast<double>(segments));
-  }
-  return out;
-}
-
-}  // namespace
-
-Spectrum periodogram(std::span<const double> signal, double sample_rate,
-                     Window window) {
+Spectrum periodogram(std::span<const double> signal) {
   if (signal.size() < 2) throw std::invalid_argument("signal too short");
   const double m = mean(signal);
-  std::vector<double> detrended(signal.begin(), signal.end());
-  for (double& x : detrended) x -= m;
-  std::vector<double> acc;
-  accumulate_segment(detrended, window, sample_rate, acc);
-  return finalize(std::move(acc), next_power_of_two(signal.size()), 1,
-                  sample_rate);
-}
-
-Spectrum welch_psd(std::span<const double> signal, std::size_t segment,
-                   double sample_rate, Window window) {
-  if (segment < 2 || signal.size() < segment) {
-    throw std::invalid_argument("welch: segment must satisfy 2 <= segment <= n");
+  const std::size_t n = next_power_of_two(signal.size());
+  std::vector<std::complex<double>> data(n);
+  for (std::size_t i = 0; i < signal.size(); ++i) data[i] = signal[i] - m;
+  fft_in_place(data);
+  const double norm = 1.0 / static_cast<double>(signal.size());
+  const std::size_t half = n / 2;
+  Spectrum out;
+  out.frequency.reserve(half);
+  out.power.reserve(half);
+  for (std::size_t k = 1; k <= half; ++k) {
+    out.frequency.push_back(static_cast<double>(k) / static_cast<double>(n));
+    // One-sided PSD: double everything except Nyquist.
+    out.power.push_back((k == half ? 1.0 : 2.0) * std::norm(data[k]) * norm);
   }
-  segment = next_power_of_two(segment);
-  if (segment > signal.size()) segment >>= 1;
-  const std::size_t hop = segment / 2;
-  const double m = mean(signal);
-  std::vector<double> detrended(signal.begin(), signal.end());
-  for (double& x : detrended) x -= m;
-
-  std::vector<double> acc;
-  std::size_t segments = 0;
-  for (std::size_t start = 0; start + segment <= detrended.size();
-       start += hop) {
-    accumulate_segment(
-        std::span<const double>(detrended).subspan(start, segment), window,
-        sample_rate, acc);
-    ++segments;
-  }
-  return finalize(std::move(acc), segment, segments, sample_rate);
+  return out;
 }
 
 double low_frequency_slope(const Spectrum& spectrum, double fraction) {

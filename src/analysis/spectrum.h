@@ -1,4 +1,4 @@
-// Spectral estimation: periodogram and Welch-averaged PSD.
+// Spectral estimation: the raw periodogram and its low-frequency slope.
 //
 // Used to reproduce the paper's Fig. 7: the periodogram of the average
 // velocity stays bounded at f -> 0 for the deterministic NaS model (SRD)
@@ -13,22 +13,15 @@ namespace cavenet::analysis {
 
 /// One-sided power spectral density estimate.
 struct Spectrum {
-  std::vector<double> frequency;  ///< in cycles/sample * sample_rate
+  std::vector<double> frequency;  ///< in cycles/sample
   std::vector<double> power;      ///< PSD estimate at each frequency
 };
 
-enum class Window { kRectangular, kHann, kHamming };
-
-/// Raw periodogram of `signal` (mean removed first). sample_rate in Hz.
-/// Only strictly positive frequencies are returned (DC is dropped because
-/// the mean was subtracted).
-Spectrum periodogram(std::span<const double> signal, double sample_rate = 1.0,
-                     Window window = Window::kRectangular);
-
-/// Welch's method: averaged modified periodograms over 50%-overlapping
-/// segments of length `segment` (rounded up to a power of two).
-Spectrum welch_psd(std::span<const double> signal, std::size_t segment,
-                   double sample_rate = 1.0, Window window = Window::kHann);
+/// Raw periodogram of `signal`: mean removed, rectangular window,
+/// zero-padded to the next power of two, one sample per unit time. Only
+/// strictly positive frequencies are returned (DC is dropped because the
+/// mean was subtracted).
+Spectrum periodogram(std::span<const double> signal);
 
 /// Least-squares slope of log10(power) vs log10(frequency) over the lowest
 /// `fraction` of the spectrum. A slope near 0 indicates SRD; a slope near

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace cavenet::analysis {
 
@@ -13,23 +12,6 @@ void RunningStats::add(double x) noexcept {
   m2_ += delta * (x - mean_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n1 = static_cast<double>(n_);
-  const auto n2 = static_cast<double>(other.n_);
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double RunningStats::variance() const noexcept {
@@ -55,44 +37,6 @@ double variance(std::span<const double> xs) noexcept {
 
 double stddev(std::span<const double> xs) noexcept {
   return std::sqrt(variance(xs));
-}
-
-double quantile(std::span<const double> xs, double q) {
-  if (xs.empty()) throw std::invalid_argument("quantile of empty sample");
-  q = std::clamp(q, 0.0, 1.0);
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  if (bins == 0 || !(hi > lo)) {
-    throw std::invalid_argument("histogram needs hi > lo and bins > 0");
-  }
-}
-
-void Histogram::add(double x) noexcept {
-  auto bin = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  bin = std::clamp<std::ptrdiff_t>(
-      bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_center(std::size_t bin) const {
-  return lo_ + (static_cast<double>(bin) + 0.5) * width_;
-}
-
-double Histogram::density(std::size_t bin) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_.at(bin)) /
-         (static_cast<double>(total_) * width_);
 }
 
 }  // namespace cavenet::analysis

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <limits>
 #include <span>
-#include <vector>
 
 namespace cavenet::analysis {
 
@@ -13,7 +12,6 @@ namespace cavenet::analysis {
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
 
   std::size_t count() const noexcept { return n_; }
   double mean() const noexcept { return n_ ? mean_ : 0.0; }
@@ -36,31 +34,6 @@ double mean(std::span<const double> xs) noexcept;
 /// Sample variance (n-1 denominator; 0 for fewer than two samples).
 double variance(std::span<const double> xs) noexcept;
 double stddev(std::span<const double> xs) noexcept;
-/// Linearly-interpolated quantile, q in [0, 1]. Sorts a copy.
-double quantile(std::span<const double> xs, double q);
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins so no sample is lost.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::size_t bin_count() const noexcept { return counts_.size(); }
-  std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  std::size_t total() const noexcept { return total_; }
-  /// Center of the given bin.
-  double bin_center(std::size_t bin) const;
-  /// Normalized density in the given bin (counts / total / bin_width).
-  double density(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace cavenet::analysis
 

@@ -166,23 +166,6 @@ __attribute__((target("avx2"))) std::int64_t sum_velocity_avx2(
   return sum;
 }
 
-__attribute__((target("avx2"))) std::size_t count_moving_avx2(
-    const std::int32_t* velocity, std::size_t n) noexcept {
-  const __m256i zero = _mm256_setzero_si256();
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(velocity + i));
-    const __m256i gt = _mm256_cmpgt_epi32(v, zero);
-    count += static_cast<std::size_t>(
-        __builtin_popcount(static_cast<unsigned>(_mm256_movemask_ps(
-            _mm256_castsi256_ps(gt)))));
-  }
-  for (; i < n; ++i) count += velocity[i] > 0;
-  return count;
-}
-
 /// vpermd left-pack table: entry m lists the set-bit positions of the
 /// 8-bit mask m in ascending order (unused lanes are don't-care zeros).
 struct CompressTable {
@@ -308,16 +291,6 @@ std::int64_t sum_velocity(const std::int32_t* velocity,
   std::int64_t sum = 0;
   for (std::size_t i = 0; i < n; ++i) sum += velocity[i];
   return sum;
-}
-
-std::size_t count_moving(const std::int32_t* velocity,
-                         std::size_t n) noexcept {
-#if CAVENET_LANE_SIMD_AVX2
-  if (avx2()) return count_moving_avx2(velocity, n);
-#endif
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) count += velocity[i] > 0;
-  return count;
 }
 
 std::size_t compress_moving(const std::int32_t* velocity, std::size_t begin,

@@ -56,11 +56,6 @@ void advance_cells(std::int64_t* cell, const std::int32_t* velocity,
 std::int64_t sum_velocity(const std::int32_t* velocity,
                           std::size_t n) noexcept;
 
-/// Count of strictly positive entries in velocity[0..n) — the number of
-/// Bernoulli draws the slowdown pass will consume.
-std::size_t count_moving(const std::int32_t* velocity,
-                         std::size_t n) noexcept;
-
 /// Left-packs the indices i in [begin, end) with velocity[i] > 0 into
 /// `out`, in ascending order; returns how many were written. The AVX2
 /// path stores 8-wide at the write cursor, so `out` must have room for

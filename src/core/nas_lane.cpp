@@ -139,20 +139,6 @@ double NasLane::cumulative_position_m(const Vehicle& v) const noexcept {
          params_.cell_length_m;
 }
 
-void NasLane::export_cumulative_positions_m(std::span<double> out) const {
-  const std::size_t n = state_.size();
-  const auto L = static_cast<double>(params_.lane_length);
-  const double cell_m = params_.cell_length_m;
-  const auto* cell = state_.cell.data();
-  const auto* wraps = state_.wraps.data();
-  const auto* id = state_.id.data();
-  for (std::size_t p = 0; p < n; ++p) {
-    out[id[p]] =
-        (static_cast<double>(cell[p]) + static_cast<double>(wraps[p]) * L) *
-        cell_m;
-  }
-}
-
 void NasLane::block_cell(std::int64_t cell) {
   if (cell < 0 || cell >= params_.lane_length) {
     throw std::out_of_range("blocked cell outside lane");

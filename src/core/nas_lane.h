@@ -96,12 +96,6 @@ class NasLane {
   /// accumulated wraps (monotone). Used by trace generation.
   double cumulative_position_m(const Vehicle& v) const noexcept;
 
-  /// Batched SoA export: out[id] = cumulative position (metres) of the
-  /// vehicle with that id, for every vehicle. One pass over the
-  /// contiguous arrays — the bulk form of cumulative_position_m for
-  /// per-timestamp position refreshes. out.size() must be >= size().
-  void export_cumulative_positions_m(std::span<double> out) const;
-
   /// Sequential (non-parallel) update, for the ablation bench only: rules
   /// are applied vehicle-by-vehicle in site order, so a leader's move in
   /// this step already widens the follower's gap. Distorts the fundamental

@@ -12,9 +12,9 @@
 // silently exhausting memory. Entry type names are interned
 // (obs::intern), so recording costs no per-event heap allocation.
 //
-// With a TraceSink attached, every record is mirrored as a structured
-// instant event (Chrome trace_event), which is how packet activity lands
-// in Perfetto timelines.
+// With a ChromeTraceWriter attached, every record is mirrored as a
+// structured instant event (Chrome trace_event), which is how packet
+// activity lands in Perfetto timelines.
 #ifndef CAVENET_NETSIM_PACKET_LOG_H
 #define CAVENET_NETSIM_PACKET_LOG_H
 
@@ -61,7 +61,9 @@ class PacketLog {
 
   /// Mirrors every record into `sink` as an instant trace event
   /// (category = layer name, tid = node). nullptr detaches.
-  void set_trace_sink(obs::TraceSink* sink) noexcept { trace_sink_ = sink; }
+  void set_trace_sink(obs::ChromeTraceWriter* sink) noexcept {
+    trace_sink_ = sink;
+  }
 
   /// Number of entries matching an (event, layer) pair.
   std::size_t count(Event event, Layer layer) const;
@@ -77,7 +79,7 @@ class PacketLog {
   std::vector<Entry> entries_;
   std::size_t max_entries_ = kDefaultMaxEntries;
   std::uint64_t dropped_ = 0;
-  obs::TraceSink* trace_sink_ = nullptr;
+  obs::ChromeTraceWriter* trace_sink_ = nullptr;
 };
 
 }  // namespace cavenet::netsim

@@ -23,8 +23,8 @@
 #include "util/sim_time.h"
 
 namespace cavenet::obs {
+class ChromeTraceWriter;
 class KernelProfiler;
-class TraceSink;
 }  // namespace cavenet::obs
 
 namespace cavenet::netsim {
@@ -96,9 +96,11 @@ class Simulator {
     scheduler_.set_profiler(profiler);
   }
 
-  /// Attaches (nullptr detaches) a sink for kernel-emitted trace events
+  /// Attaches (nullptr detaches) a writer for kernel-emitted trace events
   /// (currently the heartbeat counter tracks).
-  void set_trace_sink(obs::TraceSink* sink) noexcept { trace_sink_ = sink; }
+  void set_trace_sink(obs::ChromeTraceWriter* sink) noexcept {
+    trace_sink_ = sink;
+  }
 
   /// Emits a progress heartbeat every `interval` of simulation time: an
   /// INFO log line (sim time, wall time, events/sec, queue depth) plus
@@ -114,7 +116,7 @@ class Simulator {
   bool stopped_ = false;
   std::uint64_t seed_;
 
-  obs::TraceSink* trace_sink_ = nullptr;
+  obs::ChromeTraceWriter* trace_sink_ = nullptr;
   SimTime heartbeat_interval_ = SimTime::zero();
   std::chrono::steady_clock::time_point heartbeat_wall_start_{};
   std::chrono::steady_clock::time_point last_heartbeat_wall_{};

@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <ostream>
-#include <stdexcept>
 
 #include "obs/json.h"
 #include "util/logging.h"
@@ -69,51 +68,6 @@ bool ChromeTraceWriter::write_file(const std::string& path) const {
   }
   write(out);
   return static_cast<bool>(out);
-}
-
-RingBufferSink::RingBufferSink(std::size_t capacity) : capacity_(capacity) {
-  if (capacity == 0) {
-    throw std::invalid_argument("ring buffer capacity must be > 0");
-  }
-  ring_.reserve(capacity);
-}
-
-void RingBufferSink::emit(const TraceEvent& event) {
-  if (ring_.size() < capacity_) {
-    ring_.push_back(event);
-    return;
-  }
-  ring_[next_] = event;
-  next_ = (next_ + 1) % capacity_;
-  wrapped_ = true;
-  ++dropped_;
-}
-
-std::size_t RingBufferSink::size() const noexcept { return ring_.size(); }
-
-std::vector<TraceEvent> RingBufferSink::window() const {
-  std::vector<TraceEvent> out;
-  out.reserve(ring_.size());
-  if (wrapped_) {
-    out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(next_),
-               ring_.end());
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<std::ptrdiff_t>(next_));
-  } else {
-    out = ring_;
-  }
-  return out;
-}
-
-void RingBufferSink::replay(TraceSink& sink) const {
-  for (const TraceEvent& e : window()) sink.emit(e);
-}
-
-void RingBufferSink::clear() {
-  ring_.clear();
-  next_ = 0;
-  wrapped_ = false;
-  dropped_ = 0;
 }
 
 }  // namespace cavenet::obs

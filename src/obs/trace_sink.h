@@ -1,11 +1,8 @@
 // Structured event tracing.
 //
 // The simulation kernel and the packet log emit TraceEvents into a
-// TraceSink. Two sinks ship with the library: ChromeTraceWriter renders
-// the Chrome trace_event JSON format (load in chrome://tracing or
-// https://ui.perfetto.dev), and RingBufferSink keeps the last N events in
-// bounded memory so multi-hour runs can trace forever and dump the tail
-// on demand.
+// ChromeTraceWriter, which renders the Chrome trace_event JSON format
+// (load in chrome://tracing or https://ui.perfetto.dev).
 //
 // Event name/category fields are std::string_views and must outlive the
 // sink: pass string literals or obs::intern()ed strings.
@@ -35,18 +32,12 @@ struct TraceEvent {
   double value = 0.0;               ///< kCounter payload
 };
 
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void emit(const TraceEvent& event) = 0;
-};
-
 /// Collects events and serializes them as Chrome trace_event JSON:
 /// {"traceEvents":[{"name":...,"ph":"i","ts":...,"pid":0,"tid":...},...]}
 /// with ts/dur in microseconds of simulation time.
-class ChromeTraceWriter final : public TraceSink {
+class ChromeTraceWriter {
  public:
-  void emit(const TraceEvent& event) override { events_.push_back(event); }
+  void emit(const TraceEvent& event) { events_.push_back(event); }
 
   std::size_t size() const noexcept { return events_.size(); }
   const std::vector<TraceEvent>& events() const noexcept { return events_; }
@@ -59,34 +50,6 @@ class ChromeTraceWriter final : public TraceSink {
 
  private:
   std::vector<TraceEvent> events_;
-};
-
-/// Bounded-memory sink: keeps the most recent `capacity` events and
-/// counts how many older ones were overwritten. replay() feeds the
-/// surviving window (oldest first) into another sink, e.g. a
-/// ChromeTraceWriter at the end of a long run.
-class RingBufferSink final : public TraceSink {
- public:
-  explicit RingBufferSink(std::size_t capacity);
-
-  void emit(const TraceEvent& event) override;
-
-  std::size_t capacity() const noexcept { return capacity_; }
-  std::size_t size() const noexcept;
-  /// Events that were overwritten because the buffer was full.
-  std::uint64_t dropped() const noexcept { return dropped_; }
-
-  /// Oldest-to-newest copy of the surviving window.
-  std::vector<TraceEvent> window() const;
-  void replay(TraceSink& sink) const;
-  void clear();
-
- private:
-  std::size_t capacity_;
-  std::vector<TraceEvent> ring_;
-  std::size_t next_ = 0;      ///< write position once the ring is full
-  bool wrapped_ = false;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace cavenet::obs

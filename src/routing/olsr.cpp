@@ -1,7 +1,6 @@
 #include "routing/olsr.h"
 
 #include <algorithm>
-#include <limits>
 #include <queue>
 #include <utility>
 
@@ -91,15 +90,6 @@ std::vector<NodeId> OlsrProtocol::symmetric_neighbors() const {
   return out;
 }
 
-double OlsrProtocol::link_etx(NodeId neighbor) const {
-  const auto it = links_.find(neighbor);
-  if (it == links_.end()) return std::numeric_limits<double>::infinity();
-  const double ni = it->second.ni;
-  const double lqi = it->second.lqi;
-  if (ni <= 0.0 || lqi <= 0.0) return std::numeric_limits<double>::infinity();
-  return 1.0 / (ni * lqi);
-}
-
 void OlsrProtocol::hello_timer() {
   expire_state();
   select_mprs();
@@ -115,29 +105,15 @@ void OlsrProtocol::hello_timer() {
     if (mprs_.contains(addr)) entry.code = LinkCode::kMpr;
     else if (link.sym_until > sim_->now()) entry.code = LinkCode::kSym;
     else entry.code = LinkCode::kAsym;
-    entry.link_quality = static_cast<std::uint8_t>(
-        std::clamp(link.ni * 255.0, 0.0, 255.0));
     hello.neighbors.push_back(entry);
   }
   Packet packet(0);
   packet.push(hello);
   send_control(std::move(packet), kBroadcast);
 
-  ++hello_ticks_;
-  if (params_.use_etx && hello_ticks_ % params_.etx_window == 0) {
-    etx_window_rollover();
-  }
   routes_changed();
   sim_->schedule(params_.hello_interval + jitter(10), "olsr",
                  [this] { hello_timer(); });
-}
-
-void OlsrProtocol::etx_window_rollover() {
-  for (auto& [addr, link] : links_) {
-    link.ni = std::min(1.0, static_cast<double>(link.hellos_in_window) /
-                                static_cast<double>(params_.etx_window));
-    link.hellos_in_window = 0;
-  }
 }
 
 void OlsrProtocol::tc_timer() {
@@ -152,13 +128,7 @@ void OlsrProtocol::tc_timer() {
     tc.ansn = ansn_;
     tc.ttl = 255;
     for (const auto& [selector, expiry] : mpr_selectors_) {
-      TcHeader::Advertised adv;
-      adv.addr = selector;
-      if (const auto it = links_.find(selector); it != links_.end()) {
-        adv.link_quality = static_cast<std::uint8_t>(
-            std::clamp(it->second.ni * 255.0, 0.0, 255.0));
-      }
-      tc.advertised.push_back(adv);
+      tc.advertised.push_back(selector);
     }
     duplicates_[{address(), tc.message_seq}] =
         sim_->now() + params_.duplicate_hold;
@@ -175,9 +145,8 @@ void OlsrProtocol::on_link_receive(Packet packet, NodeId from) {
   // receiver of the broadcast, and reading must not detach it.
   if (const HelloHeader* hello = std::as_const(packet).peek<HelloHeader>()) {
     handle_hello(*hello, from);
-  } else if (std::as_const(packet).peek<TcHeader>() != nullptr) {
-    const TcHeader tc = *std::as_const(packet).peek<TcHeader>();
-    handle_tc(std::move(packet), tc, from);
+  } else if (const TcHeader* tc = std::as_const(packet).peek<TcHeader>()) {
+    handle_tc(*tc, from);
   } else if (const HnaHeader* hna = std::as_const(packet).peek<HnaHeader>()) {
     handle_hna(*hna, from);
   } else if (std::as_const(packet).peek<DataHeader>() != nullptr) {
@@ -189,16 +158,11 @@ void OlsrProtocol::handle_hello(const HelloHeader& hello, NodeId from) {
   const SimTime hold = params_.neighbor_hold();
   LinkTuple& link = links_[from];
   link.asym_until = sim_->now() + hold;
-  ++link.hellos_in_window;
-  if (!params_.use_etx) link.ni = 1.0;
 
   bool lists_me = false;
   for (const auto& entry : hello.neighbors) {
     if (entry.addr == address()) {
       lists_me = true;
-      link.lqi = params_.use_etx
-                     ? static_cast<double>(entry.link_quality) / 255.0
-                     : 1.0;
       // The neighbour selected us as MPR: record selector.
       if (entry.code == LinkCode::kMpr) {
         const bool is_new = !mpr_selectors_.contains(from);
@@ -228,8 +192,7 @@ void OlsrProtocol::handle_hello(const HelloHeader& hello, NodeId from) {
   routes_changed();
 }
 
-void OlsrProtocol::handle_tc(Packet packet, const TcHeader& tc, NodeId from) {
-  (void)packet;
+void OlsrProtocol::handle_tc(const TcHeader& tc, NodeId from) {
   if (tc.origin == address()) return;
   if (!link_is_sym(from)) return;  // RFC 9.5: accept only from sym neighbours
 
@@ -243,21 +206,17 @@ void OlsrProtocol::handle_tc(Packet packet, const TcHeader& tc, NodeId from) {
       return t.last_hop == tc.origin &&
              static_cast<std::int16_t>(tc.ansn - t.ansn) > 0;
     });
-    for (const auto& adv : tc.advertised) {
+    for (const NodeId dest : tc.advertised) {
       const auto match = std::find_if(
           topology_.begin(), topology_.end(), [&](const TopologyTuple& t) {
-            return t.dest == adv.addr && t.last_hop == tc.origin;
+            return t.dest == dest && t.last_hop == tc.origin;
           });
-      const double quality =
-          params_.use_etx ? static_cast<double>(adv.link_quality) / 255.0
-                          : 1.0;
       if (match != topology_.end()) {
         match->ansn = tc.ansn;
         match->expires = sim_->now() + params_.topology_hold();
-        match->quality = quality;
       } else {
-        topology_.push_back({adv.addr, tc.origin, tc.ansn,
-                             sim_->now() + params_.topology_hold(), quality});
+        topology_.push_back(
+            {dest, tc.origin, tc.ansn, sim_->now() + params_.topology_hold()});
       }
     }
     routes_changed();
@@ -439,45 +398,41 @@ void OlsrProtocol::refresh_routes() const {
 }
 
 void OlsrProtocol::compute_routes(SimTime at) const {
-  // Dijkstra over sym links + topology edges. Cost is 1 per hop, or ETX
-  // when the LQ extension is active.
+  // Dijkstra by hop count over sym links + topology edges. With unit
+  // costs a BFS would find the same distances, but the heap's pop order
+  // decides which of several equal-hop next hops a route takes; the
+  // pinned OLSR outputs depend on it.
   table_.clear();
 
   struct Item {
-    double cost;
     std::uint32_t hops;
     NodeId node;
     NodeId first_hop;
-    bool operator>(const Item& other) const { return cost > other.cost; }
+    bool operator>(const Item& other) const { return hops > other.hops; }
   };
   std::priority_queue<Item, std::vector<Item>, std::greater<>> frontier;
-  std::map<NodeId, double> best_cost;
+  std::map<NodeId, std::uint32_t> best_hops;
 
   for (const auto& [addr, link] : links_) {
     if (link.sym_until <= at) continue;
-    const double cost = params_.use_etx ? link_etx(addr) : 1.0;
-    if (cost == std::numeric_limits<double>::infinity()) continue;
-    frontier.push({cost, 1, addr, addr});
+    frontier.push({1, addr, addr});
   }
 
   // Adjacency from the topology set: last_hop -> dest.
-  std::map<NodeId, std::vector<std::pair<NodeId, double>>> adjacency;
+  std::map<NodeId, std::vector<NodeId>> adjacency;
   for (const auto& t : topology_) {
     if (t.expires <= at) continue;
-    const double cost =
-        params_.use_etx ? (t.quality > 0.0 ? 1.0 / t.quality : 0.0) : 1.0;
-    if (cost <= 0.0) continue;
-    adjacency[t.last_hop].push_back({t.dest, cost});
+    adjacency[t.last_hop].push_back(t.dest);
   }
 
   while (!frontier.empty()) {
     const Item item = frontier.top();
     frontier.pop();
-    if (const auto it = best_cost.find(item.node);
-        it != best_cost.end() && it->second <= item.cost) {
+    if (const auto it = best_hops.find(item.node);
+        it != best_hops.end() && it->second <= item.hops) {
       continue;
     }
-    best_cost[item.node] = item.cost;
+    best_hops[item.node] = item.hops;
 
     RouteEntry& e = table_.upsert(item.node);
     e.next_hop = item.first_hop;
@@ -487,9 +442,9 @@ void OlsrProtocol::compute_routes(SimTime at) const {
 
     const auto adj = adjacency.find(item.node);
     if (adj == adjacency.end()) continue;
-    for (const auto& [dest, cost] : adj->second) {
+    for (const NodeId dest : adj->second) {
       if (dest == address()) continue;
-      frontier.push({item.cost + cost, item.hops + 1, dest, item.first_hop});
+      frontier.push({item.hops + 1, dest, item.first_hop});
     }
   }
 }

@@ -4,10 +4,10 @@
 // Implemented: HELLO link sensing (asym -> sym handshake), 2-hop
 // neighbourhood, greedy MPR selection, MPR-selector tracking, TC
 // origination and MPR-rule flooding with duplicate suppression, topology
-// set with hold times, and shortest-path route calculation. The olsrd LQ
-// (ETX) extension from paper Section III-B1 is available behind
-// `use_etx`: link quality is the hello arrival rate per window, ETX(i) =
-// 1 / (NI(i) * LQI(i)), and routes minimize total ETX instead of hops.
+// set with hold times, HNA gateways, and hop-count shortest-path route
+// calculation. The olsrd link-quality (ETX) metric that paper Section
+// III-B1 describes is not modelled: the paper's figures evaluate plain
+// OLSR, so hop count is the one route metric.
 #ifndef CAVENET_ROUTING_OLSR_H
 #define CAVENET_ROUTING_OLSR_H
 
@@ -28,10 +28,6 @@ struct OlsrParams {
   SimTime neighbor_hold() const noexcept { return hello_interval * 3; }
   SimTime topology_hold() const noexcept { return tc_interval * 3; }
   SimTime duplicate_hold = SimTime::seconds(30);
-  /// Enables the olsrd Link-Quality/ETX extension.
-  bool use_etx = false;
-  /// Hello sampling window W (in hello intervals) for the ETX estimate.
-  std::uint32_t etx_window = 10;
   /// HNA emission period (RFC 3626 section 12; paper Section III-B1:
   /// "HNA messages are used by OLSR to disseminate network route
   /// advertisements in the same way TC messages advertise host routes").
@@ -45,9 +41,6 @@ struct HelloHeader final : netsim::HeaderBase<HelloHeader> {
   struct NeighborEntry {
     netsim::NodeId addr = 0;
     LinkCode code = LinkCode::kAsym;
-    /// LQ extension: our measured hello arrival rate from this neighbour,
-    /// scaled to 0..255.
-    std::uint8_t link_quality = 0;
   };
   netsim::NodeId origin = 0;
   std::vector<NeighborEntry> neighbors;
@@ -75,11 +68,7 @@ struct TcHeader final : netsim::HeaderBase<TcHeader> {
   std::uint16_t message_seq = 0;
   std::uint16_t ansn = 0;
   std::uint8_t ttl = 255;
-  struct Advertised {
-    netsim::NodeId addr = 0;
-    std::uint8_t link_quality = 0;  ///< LQ extension
-  };
-  std::vector<Advertised> advertised;  ///< MPR selectors of the origin
+  std::vector<netsim::NodeId> advertised;  ///< MPR selectors of the origin
 
   std::size_t size_bytes() const override {
     return 16 + 8 * advertised.size();
@@ -101,9 +90,6 @@ class OlsrProtocol final : public RoutingProtocol {
   const std::set<netsim::NodeId>& mpr_set() const noexcept { return mprs_; }
   /// Symmetric one-hop neighbours.
   std::vector<netsim::NodeId> symmetric_neighbors() const;
-  /// ETX of the link to `neighbor` (1.0 with perfect delivery; +inf when
-  /// no hello has been heard). Only meaningful with use_etx.
-  double link_etx(netsim::NodeId neighbor) const;
 
   /// Declares this node a gateway for `network` (a non-MANET address);
   /// it will advertise the association via periodic HNA floods.
@@ -115,11 +101,6 @@ class OlsrProtocol final : public RoutingProtocol {
   struct LinkTuple {
     SimTime sym_until = SimTime::zero();
     SimTime asym_until = SimTime::zero();
-    /// Hellos heard in the current ETX window and the frozen last-window
-    /// arrival ratios.
-    std::uint32_t hellos_in_window = 0;
-    double ni = 0.0;   ///< our arrival rate for their hellos
-    double lqi = 0.0;  ///< their reported arrival rate for our hellos
   };
   struct TwoHopTuple {
     netsim::NodeId neighbor;
@@ -131,7 +112,6 @@ class OlsrProtocol final : public RoutingProtocol {
     netsim::NodeId last_hop;
     std::uint16_t ansn;
     SimTime expires;
-    double quality = 1.0;  ///< LQ extension: dest->last_hop link quality
   };
 
   void on_link_receive(netsim::Packet packet, netsim::NodeId from) override;
@@ -139,10 +119,8 @@ class OlsrProtocol final : public RoutingProtocol {
   void hello_timer();
   void tc_timer();
   void hna_timer();
-  void etx_window_rollover();
   void handle_hello(const HelloHeader& hello, netsim::NodeId from);
-  void handle_tc(netsim::Packet packet, const TcHeader& tc,
-                 netsim::NodeId from);
+  void handle_tc(const TcHeader& tc, netsim::NodeId from);
   void handle_hna(const HnaHeader& hna, netsim::NodeId from);
   void forward_data(netsim::Packet packet, netsim::NodeId from);
   void expire_state();
@@ -152,7 +130,8 @@ class OlsrProtocol final : public RoutingProtocol {
   void routes_changed();
   /// Rebuilds the table if a change is pending (see table_).
   void refresh_routes() const;
-  /// Dijkstra over the sym links and topology tuples live at `at`.
+  /// Hop-count Dijkstra over the sym links and topology tuples live at
+  /// `at`.
   void compute_routes(SimTime at) const;
   /// Route to `dst`, falling back to the best HNA gateway.
   const RouteEntry* resolve(netsim::NodeId dst) const;
@@ -189,7 +168,6 @@ class OlsrProtocol final : public RoutingProtocol {
   std::map<std::pair<netsim::NodeId, std::uint16_t>, SimTime> duplicates_;
   std::uint16_t ansn_ = 0;
   std::uint16_t message_seq_ = 0;
-  std::uint32_t hello_ticks_ = 0;
 };
 
 }  // namespace cavenet::routing::olsr

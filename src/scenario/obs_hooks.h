@@ -23,9 +23,9 @@ struct ObsHooks {
   /// run-level gauges ("sim.events.dispatched", "chan.utilization", ...)
   /// post-run.
   obs::StatsRegistry* stats = nullptr;
-  /// Structured trace sink: the kernel heartbeat and the packet log (when
+  /// Chrome trace writer: the kernel heartbeat and the packet log (when
   /// both are set) emit into it.
-  obs::TraceSink* trace_sink = nullptr;
+  obs::ChromeTraceWriter* trace_sink = nullptr;
   /// Kernel profiler: per-component dispatch counts and handler wall time.
   obs::KernelProfiler* profiler = nullptr;
 

@@ -39,15 +39,6 @@ TEST(PeriodogramTest, PeakAtSineFrequency) {
   EXPECT_NEAR(spec.frequency[argmax], f0, 1e-3);
 }
 
-TEST(PeriodogramTest, SampleRateScalesFrequencyAxis) {
-  const auto spec = periodogram(sine(512, 0.25), 100.0);
-  std::size_t argmax = 0;
-  for (std::size_t k = 1; k < spec.power.size(); ++k) {
-    if (spec.power[k] > spec.power[argmax]) argmax = k;
-  }
-  EXPECT_NEAR(spec.frequency[argmax], 25.0, 0.5);
-}
-
 TEST(PeriodogramTest, MeanRemovalKillsDcLeakage) {
   std::vector<double> signal = sine(512, 0.1);
   for (double& x : signal) x += 100.0;  // large DC offset
@@ -90,40 +81,6 @@ TEST(PeriodogramTest, OutputIsBitIdenticalToPinnedDigest) {
       << "periodogram output changed";
 }
 
-TEST(WelchTest, RejectsBadSegment) {
-  const std::vector<double> signal(64, 0.0);
-  EXPECT_THROW(welch_psd(signal, 1), std::invalid_argument);
-  EXPECT_THROW(welch_psd(signal, 128), std::invalid_argument);
-}
-
-TEST(WelchTest, ReducesVarianceVsRawPeriodogram) {
-  Rng rng(2);
-  std::vector<double> signal(8192);
-  for (double& x : signal) x = rng.normal();
-  const auto raw = periodogram(signal);
-  const auto welch = welch_psd(signal, 256);
-
-  auto rel_spread = [](const Spectrum& s) {
-    double mean = 0.0;
-    for (const double p : s.power) mean += p;
-    mean /= static_cast<double>(s.power.size());
-    double var = 0.0;
-    for (const double p : s.power) var += (p - mean) * (p - mean);
-    var /= static_cast<double>(s.power.size());
-    return std::sqrt(var) / mean;
-  };
-  EXPECT_LT(rel_spread(welch), rel_spread(raw) * 0.5);
-}
-
-TEST(WelchTest, WhiteNoiseSpectrumIsFlat) {
-  Rng rng(3);
-  std::vector<double> signal(16384);
-  for (double& x : signal) x = rng.normal();
-  const auto spec = welch_psd(signal, 512);
-  const double slope = low_frequency_slope(spec, 0.5);
-  EXPECT_NEAR(slope, 0.0, 0.3);
-}
-
 TEST(LowFrequencySlopeTest, DetectsOneOverFNoise) {
   // Synthesize 1/f-ish noise by summing random-phase sinusoids with
   // amplitude ~ 1/sqrt(f).
@@ -143,24 +100,6 @@ TEST(LowFrequencySlopeTest, DetectsOneOverFNoise) {
   const auto spec = periodogram(signal);
   const double slope = low_frequency_slope(spec, 0.05);
   EXPECT_LT(slope, -0.5);  // diverges toward f -> 0
-}
-
-TEST(WindowTest, HannWindowStillFindsPeak) {
-  const auto spec = periodogram(sine(1024, 0.2), 1.0, Window::kHann);
-  std::size_t argmax = 0;
-  for (std::size_t k = 1; k < spec.power.size(); ++k) {
-    if (spec.power[k] > spec.power[argmax]) argmax = k;
-  }
-  EXPECT_NEAR(spec.frequency[argmax], 0.2, 1e-3);
-}
-
-TEST(WindowTest, HammingWindowStillFindsPeak) {
-  const auto spec = periodogram(sine(1024, 0.3), 1.0, Window::kHamming);
-  std::size_t argmax = 0;
-  for (std::size_t k = 1; k < spec.power.size(); ++k) {
-    if (spec.power[k] > spec.power[argmax]) argmax = k;
-  }
-  EXPECT_NEAR(spec.frequency[argmax], 0.3, 1e-3);
 }
 
 }  // namespace

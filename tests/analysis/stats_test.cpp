@@ -1,12 +1,8 @@
 #include "analysis/stats.h"
 
-#include <cmath>
-#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "util/rng.h"
 
 namespace cavenet::analysis {
 namespace {
@@ -39,89 +35,11 @@ TEST(RunningStatsTest, MatchesBatchFormulas) {
   EXPECT_EQ(s.max(), 16.0);
 }
 
-TEST(RunningStatsTest, MergeEqualsSinglePass) {
-  Rng rng(1);
-  RunningStats whole, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    whole.add(x);
-    (i < 400 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_EQ(left.min(), whole.min());
-  EXPECT_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmptySides) {
-  RunningStats a, b;
-  a.add(1.0);
-  a.add(3.0);
-  RunningStats a_copy = a;
-  a.merge(b);  // empty rhs
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  b.merge(a_copy);  // empty lhs
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
 TEST(BatchStatsTest, EmptyAndDegenerateInputs) {
   EXPECT_EQ(mean({}), 0.0);
   EXPECT_EQ(variance({}), 0.0);
   const std::vector<double> one = {7.0};
   EXPECT_EQ(variance(one), 0.0);
-}
-
-TEST(QuantileTest, MedianAndExtremes) {
-  const std::vector<double> xs = {5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(quantile(xs, 1.0), 5.0);
-}
-
-TEST(QuantileTest, InterpolatesBetweenSamples) {
-  const std::vector<double> xs = {0.0, 10.0};
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.25), 2.5);
-}
-
-TEST(QuantileTest, ThrowsOnEmpty) {
-  EXPECT_THROW(quantile({}, 0.5), std::invalid_argument);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
-}
-
-TEST(HistogramTest, BinsAndCenters) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bin_count(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_center(4), 9.0);
-}
-
-TEST(HistogramTest, CountsAndClampsOutOfRange) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(1.0);   // bin 0
-  h.add(9.9);   // bin 4
-  h.add(-5.0);  // clamps to bin 0
-  h.add(42.0);  // clamps to bin 4
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(HistogramTest, DensityIntegratesToOne) {
-  Histogram h(0.0, 1.0, 10);
-  Rng rng(2);
-  for (int i = 0; i < 10000; ++i) h.add(rng.uniform());
-  double integral = 0.0;
-  for (std::size_t b = 0; b < h.bin_count(); ++b) integral += h.density(b) * 0.1;
-  EXPECT_NEAR(integral, 1.0, 1e-9);
 }
 
 }  // namespace

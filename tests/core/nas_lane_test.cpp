@@ -336,16 +336,5 @@ TEST(NasLaneTest, VehicleByIdRejectsUnknownId) {
   EXPECT_EQ(lane.vehicle_by_id(3).id, 3u);
 }
 
-TEST(NasLaneTest, ExportCumulativePositionsMatchesScalarObserver) {
-  NasLane lane(default_params(120, 0.3), 45, InitialPlacement::kRandom,
-               Rng(77));
-  lane.run(50);
-  std::vector<double> out(static_cast<std::size_t>(lane.vehicle_count()));
-  lane.export_cumulative_positions_m({out.data(), out.size()});
-  for (const Vehicle& v : lane.vehicles()) {
-    EXPECT_EQ(out[v.id], lane.cumulative_position_m(v)) << "id " << v.id;
-  }
-}
-
 }  // namespace
 }  // namespace cavenet::ca

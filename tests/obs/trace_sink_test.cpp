@@ -61,41 +61,5 @@ TEST(ChromeTraceWriterTest, EmitsValidChromeJson) {
   EXPECT_DOUBLE_EQ(e2.find("dur")->number, 250.0);
 }
 
-TEST(RingBufferSinkTest, KeepsLastNAndCountsDropped) {
-  RingBufferSink ring(3);
-  for (int i = 0; i < 5; ++i) {
-    ring.emit(instant(i, "e"));
-  }
-  EXPECT_EQ(ring.size(), 3u);
-  EXPECT_EQ(ring.dropped(), 2u);
-  const auto window = ring.window();
-  ASSERT_EQ(window.size(), 3u);
-  // Oldest-first: events 2, 3, 4 survive.
-  EXPECT_DOUBLE_EQ(window[0].ts.us(), 2.0);
-  EXPECT_DOUBLE_EQ(window[1].ts.us(), 3.0);
-  EXPECT_DOUBLE_EQ(window[2].ts.us(), 4.0);
-}
-
-TEST(RingBufferSinkTest, ReplayFeedsAnotherSink) {
-  RingBufferSink ring(8);
-  ring.emit(instant(1, "a"));
-  ring.emit(instant(2, "b"));
-  ChromeTraceWriter writer;
-  ring.replay(writer);
-  ASSERT_EQ(writer.size(), 2u);
-  EXPECT_EQ(writer.events()[0].name, "a");
-  EXPECT_EQ(writer.events()[1].name, "b");
-}
-
-TEST(RingBufferSinkTest, ClearResets) {
-  RingBufferSink ring(2);
-  ring.emit(instant(1, "a"));
-  ring.emit(instant(2, "b"));
-  ring.emit(instant(3, "c"));
-  ring.clear();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_TRUE(ring.window().empty());
-}
-
 }  // namespace
 }  // namespace cavenet::obs

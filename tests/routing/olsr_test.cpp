@@ -15,21 +15,21 @@ namespace {
 using namespace cavenet::literals;
 using test::Testbed;
 
-Testbed::ProtocolFactory olsr_factory(OlsrParams params = {}) {
-  return [params](netsim::Simulator& sim, netsim::LinkLayer& link) {
-    return std::make_unique<OlsrProtocol>(sim, link, params);
+Testbed::ProtocolFactory olsr_factory() {
+  return [](netsim::Simulator& sim, netsim::LinkLayer& link) {
+    return std::make_unique<OlsrProtocol>(sim, link);
   };
 }
 
 TEST(OlsrHeadersTest, SizesScaleWithContent) {
   HelloHeader hello;
   EXPECT_EQ(hello.size_bytes(), 16u);
-  hello.neighbors.push_back({1, LinkCode::kSym, 0});
-  hello.neighbors.push_back({2, LinkCode::kMpr, 0});
+  hello.neighbors.push_back({1, LinkCode::kSym});
+  hello.neighbors.push_back({2, LinkCode::kMpr});
   EXPECT_EQ(hello.size_bytes(), 32u);
   TcHeader tc;
   EXPECT_EQ(tc.size_bytes(), 16u);
-  tc.advertised.push_back({1, 0});
+  tc.advertised.push_back(1);
   EXPECT_EQ(tc.size_bytes(), 24u);
 }
 
@@ -152,30 +152,6 @@ TEST(OlsrTest, ControlOverheadGrowsWithTime) {
   EXPECT_GT(at10, at5);
 }
 
-TEST(OlsrTest, EtxModeComputesLinkQuality) {
-  OlsrParams params;
-  params.use_etx = true;
-  params.etx_window = 4;
-  Testbed bed;
-  bed.add_chain(2, 150.0, olsr_factory(params));
-  bed.start_all();
-  bed.sim.run_until(15_s);  // several ETX windows
-  auto& a = dynamic_cast<OlsrProtocol&>(bed.router(0));
-  const double etx = a.link_etx(1);
-  // Clean channel: ETX ~ 1.
-  EXPECT_GE(etx, 1.0);
-  EXPECT_LT(etx, 1.6);
-  // And routes still work.
-  ASSERT_NE(a.table().lookup(1, bed.sim.now()), nullptr);
-}
-
-TEST(OlsrTest, EtxUnknownLinkIsInfinite) {
-  Testbed bed;
-  bed.add_node({0, 0}, olsr_factory());
-  auto& a = dynamic_cast<OlsrProtocol&>(bed.router(0));
-  EXPECT_TRUE(std::isinf(a.link_etx(42)));
-}
-
 /// (router, dst, next_hop, hop_count) of every entry, every router.
 using TableDump =
     std::vector<std::tuple<netsim::NodeId, netsim::NodeId, netsim::NodeId,
@@ -184,12 +160,10 @@ using TableDump =
 /// Six routers 200 m apart for 60 s while 40 scripted excursions take a
 /// node out of range and back; reads every router's table() each
 /// `read_every_ms` and returns what it held at each 500 ms mark.
-std::vector<TableDump> tables_at_marks(std::uint64_t seed, bool use_etx,
+std::vector<TableDump> tables_at_marks(std::uint64_t seed,
                                        std::int64_t read_every_ms) {
-  OlsrParams params;
-  params.use_etx = use_etx;
   Testbed bed(seed);
-  bed.add_chain(6, 200.0, olsr_factory(params));
+  bed.add_chain(6, 200.0, olsr_factory());
   Rng script(seed);
   for (int move = 0; move < 40; ++move) {
     const auto node =
@@ -228,17 +202,14 @@ TEST(OlsrTest, TableReadsDoNotChangeRoutes) {
   // every 1 ms and every 500 ms see the same routes at each 500 ms mark,
   // also when an expiry prune falls between a change and the next read.
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    for (const bool use_etx : {false, true}) {
-      const auto every_ms = tables_at_marks(seed, use_etx, 1);
-      const auto every_500ms = tables_at_marks(seed, use_etx, 500);
-      ASSERT_EQ(every_ms.size(), every_500ms.size());
-      for (std::size_t mark = 0; mark < every_ms.size(); ++mark) {
-        if (every_ms[mark] == every_500ms[mark]) continue;
-        ADD_FAILURE() << "seed " << seed << " use_etx " << use_etx
-                      << ": tables differ at t = " << 0.5 * (mark + 1)
-                      << " s";
-        break;
-      }
+    const auto every_ms = tables_at_marks(seed, 1);
+    const auto every_500ms = tables_at_marks(seed, 500);
+    ASSERT_EQ(every_ms.size(), every_500ms.size());
+    for (std::size_t mark = 0; mark < every_ms.size(); ++mark) {
+      if (every_ms[mark] == every_500ms[mark]) continue;
+      ADD_FAILURE() << "seed " << seed << ": tables differ at t = "
+                    << 0.5 * (mark + 1) << " s";
+      break;
     }
   }
 }

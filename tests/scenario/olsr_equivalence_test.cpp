@@ -1,9 +1,9 @@
-// OLSR byte pin: Table-I runs with the ETX extension off and on, on the
-// circle and on the line layout, each reduced to the FNV-1a digest of its
-// SenderRunResult (hexfloats) and stats-registry JSON. The kernel fixture
-// holds one OLSR run without ETX; these points pin the rest of the
-// protocol's route computation. A digest that moves means OLSR's output
-// changed, byte for byte.
+// OLSR byte pin: Table-I runs on the circle and on the line layout, each
+// reduced to the FNV-1a digest of its SenderRunResult (hexfloats) and
+// stats-registry JSON. The kernel fixture holds one OLSR run; these
+// points pin the rest of the protocol's route computation, including
+// which of several equal-hop next hops a route takes. A digest that moves
+// means OLSR's output changed, byte for byte.
 #include <cstdint>
 #include <string>
 
@@ -17,7 +17,6 @@ namespace cavenet::scenario {
 namespace {
 
 struct Point {
-  bool use_etx;
   bool circular_layout;
   std::uint64_t seed;
   std::int32_t vehicles;
@@ -28,21 +27,16 @@ struct Point {
 // Captured from the build that recomputed the route table on every HELLO
 // and TC.
 constexpr Point kPoints[] = {
-    {false, true, 11, 32, 5, 2133614943354043741ull},
-    {false, true, 15, 24, 5, 14616442449621031423ull},
-    {false, false, 13, 24, 5, 4967332066972352329ull},
-    {false, false, 16, 32, 5, 7884454838746404411ull},
-    {true, true, 12, 32, 5, 12487721947844036617ull},
-    {true, true, 14, 32, 3, 7836560390915650426ull},
-    {true, false, 11, 24, 3, 8892714437738041800ull},
-    {true, false, 18, 24, 5, 14470567417324521435ull},
+    {true, 11, 32, 5, 2133614943354043741ull},
+    {true, 15, 24, 5, 14616442449621031423ull},
+    {false, 13, 24, 5, 4967332066972352329ull},
+    {false, 16, 32, 5, 7884454838746404411ull},
 };
 
 TEST(OlsrEquivalenceTest, TableIRunsMatchPinnedDigests) {
   for (const Point& p : kPoints) {
     TableIConfig config;
     config.protocol = Protocol::kOlsr;
-    config.protocol_options.olsr.use_etx = p.use_etx;
     config.circular_layout = p.circular_layout;
     config.seed = p.seed;
     config.vehicles = p.vehicles;
@@ -58,8 +52,7 @@ TEST(OlsrEquivalenceTest, TableIRunsMatchPinnedDigests) {
     EXPECT_GT(r.rx_packets, 0u) << "seed " << p.seed;
     EXPECT_EQ(test::fnv1a(test::dump_result(r) + stats.snapshot().to_json()),
               p.digest)
-        << "seed " << p.seed << " use_etx " << p.use_etx << " circular "
-        << p.circular_layout;
+        << "seed " << p.seed << " circular " << p.circular_layout;
   }
 }
 
