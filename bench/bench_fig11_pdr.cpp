@@ -44,7 +44,6 @@ int run_instrumented_point(cavenet::scenario::TableIConfig config) {
   config.obs.stats = &stats;
   config.obs.trace_sink = &trace;
   config.obs.profiler = &profiler;
-  config.heartbeat_s = 10.0;
 
   const auto wall_start = std::chrono::steady_clock::now();
   const SenderRunResult result = run_table1(config);

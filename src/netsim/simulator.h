@@ -2,16 +2,12 @@
 // is single-threaded: events commit strictly in (time, seq) order on the
 // calling thread (docs/SCALING.md "Threading").
 //
-// Observability hooks (all optional, near-zero cost when unused):
-//  - set_profiler(): wall-clock time per event handler, attributed to the
-//    component label passed at schedule() time.
-//  - set_trace_sink(): heartbeat counter tracks (events/sec, queue depth,
-//    sim-time speedup) in Chrome trace_event form.
-//  - enable_heartbeat(): periodic progress lines for long runs.
+// Observability hook (optional, near-zero cost when unused):
+// set_profiler() records wall-clock time per event handler, attributed to
+// the component label passed at schedule() time.
 #ifndef CAVENET_NETSIM_SIMULATOR_H
 #define CAVENET_NETSIM_SIMULATOR_H
 
-#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string_view>
@@ -23,7 +19,6 @@
 #include "util/sim_time.h"
 
 namespace cavenet::obs {
-class ChromeTraceWriter;
 class KernelProfiler;
 }  // namespace cavenet::obs
 
@@ -96,32 +91,11 @@ class Simulator {
     scheduler_.set_profiler(profiler);
   }
 
-  /// Attaches (nullptr detaches) a writer for kernel-emitted trace events
-  /// (currently the heartbeat counter tracks).
-  void set_trace_sink(obs::ChromeTraceWriter* sink) noexcept {
-    trace_sink_ = sink;
-  }
-
-  /// Emits a progress heartbeat every `interval` of simulation time: an
-  /// INFO log line (sim time, wall time, events/sec, queue depth) plus
-  /// counter events into the trace sink when one is attached. Heartbeats
-  /// stop by themselves when the rest of the queue drains.
-  void enable_heartbeat(SimTime interval);
-
  private:
-  void heartbeat();
-
   Scheduler scheduler_;
   SimTime now_ = SimTime::zero();
   bool stopped_ = false;
   std::uint64_t seed_;
-
-  obs::ChromeTraceWriter* trace_sink_ = nullptr;
-  SimTime heartbeat_interval_ = SimTime::zero();
-  std::chrono::steady_clock::time_point heartbeat_wall_start_{};
-  std::chrono::steady_clock::time_point last_heartbeat_wall_{};
-  SimTime last_heartbeat_sim_ = SimTime::zero();
-  std::uint64_t last_heartbeat_events_ = 0;
 };
 
 }  // namespace cavenet::netsim

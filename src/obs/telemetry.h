@@ -57,10 +57,10 @@ class TelemetryRecorder {
 
   /// Starts periodic sampling on `sim` (templated so obs does not depend
   /// on netsim; any type with schedule(SimTime, label, fn), now() and
-  /// queue_depth() works). Copies the kernel heartbeat's self-stop rule:
-  /// the recorder reschedules only while other events remain queued, so
-  /// telemetry never keeps a drained simulation alive on its own. The
-  /// recorder must outlive the simulation run.
+  /// queue_depth() works). Self-stop rule: the recorder reschedules only
+  /// while other events remain queued, so telemetry never keeps a drained
+  /// simulation alive on its own. The recorder must outlive the
+  /// simulation run.
   template <typename SimulatorT>
   void attach(SimulatorT& sim) {
     if (!options_.enabled()) return;

@@ -30,13 +30,7 @@ void write_event(JsonWriter& w, const TraceEvent& e) {
   w.value(std::uint64_t{0});
   w.key("tid");
   w.value(static_cast<std::uint64_t>(e.tid));
-  if (e.phase == TraceEvent::Phase::kCounter) {
-    w.key("args");
-    w.begin_object();
-    w.key("value");
-    w.value(e.value);
-    w.end_object();
-  } else if (e.phase == TraceEvent::Phase::kInstant) {
+  if (e.phase == TraceEvent::Phase::kInstant) {
     w.key("s");
     w.value("t");  // thread-scoped instant
   }

@@ -1,8 +1,8 @@
 // Structured event tracing.
 //
-// The simulation kernel and the packet log emit TraceEvents into a
-// ChromeTraceWriter, which renders the Chrome trace_event JSON format
-// (load in chrome://tracing or https://ui.perfetto.dev).
+// The packet log emits TraceEvents into a ChromeTraceWriter, which
+// renders the Chrome trace_event JSON format (load in chrome://tracing or
+// https://ui.perfetto.dev).
 //
 // Event name/category fields are std::string_views and must outlive the
 // sink: pass string literals or obs::intern()ed strings.
@@ -20,16 +20,15 @@
 namespace cavenet::obs {
 
 struct TraceEvent {
-  /// Chrome trace_event phases: instant, counter, complete (duration).
-  enum class Phase : char { kInstant = 'i', kCounter = 'C', kComplete = 'X' };
+  /// Chrome trace_event phases: instant, complete (duration).
+  enum class Phase : char { kInstant = 'i', kComplete = 'X' };
 
   SimTime ts;                       ///< simulation time of the event
   SimTime dur = SimTime::zero();    ///< kComplete only
   Phase phase = Phase::kInstant;
-  std::string_view name;            ///< e.g. "cbr", "sim.events_per_sec"
-  std::string_view category;        ///< e.g. "MAC", "kernel"
+  std::string_view name;            ///< e.g. "cbr", "aodv"
+  std::string_view category;        ///< e.g. "MAC", "RTR"
   std::uint32_t tid = 0;            ///< rendered as the track id (node id)
-  double value = 0.0;               ///< kCounter payload
 };
 
 /// Collects events and serializes them as Chrome trace_event JSON:

@@ -55,15 +55,18 @@ ProgressStream::ProgressStream(std::size_t total_points, int jobs,
   }
 }
 
-ProgressStream::~ProgressStream() {
-  if (watchdog_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_watchdog_ = true;
-    }
-    watchdog_cv_.notify_all();
-    watchdog_.join();
+ProgressStream::~ProgressStream() { stop_watchdog(); }
+
+void ProgressStream::stop_watchdog() {
+  std::thread watchdog;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_watchdog_ = true;
+    watchdog = std::move(watchdog_);
   }
+  // Joined without the lock: the watchdog needs it to see the stop flag.
+  watchdog_cv_.notify_all();
+  if (watchdog.joinable()) watchdog.join();
 }
 
 double ProgressStream::wall_s_locked() const {
@@ -215,7 +218,7 @@ void ProgressStream::point_failed(std::size_t point, const std::string& name,
 }
 
 void ProgressStream::campaign_finished() {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   obs::JsonWriter w;
   w.begin_object();
   w.key("event");
@@ -230,6 +233,8 @@ void ProgressStream::campaign_finished() {
   w.raw(wall_json(wall_s_locked()));
   w.end_object();
   emit_locked(w.str());
+  lock.unlock();
+  stop_watchdog();
 }
 
 void ProgressStream::emit_heartbeat_locked() {

@@ -39,7 +39,8 @@ struct ProgressOptions {
   std::string path;
   /// Mirror every line to stdout (the --progress live view).
   bool echo_stdout = false;
-  /// Heartbeat period in wall seconds; <= 0 disables the watchdog thread.
+  /// Heartbeat period in wall seconds; <= 0 disables the watchdog thread,
+  /// which otherwise runs until campaign_finished() or destruction.
   double heartbeat_period_s = 5.0;
   /// A "stall" event fires when points are running but none has finished
   /// for this many wall seconds; <= 0 disables stall detection.
@@ -67,7 +68,13 @@ class ProgressStream {
   /// campaign reports them (and exits non-zero) after the sweep drains.
   void point_failed(std::size_t point, const std::string& name,
                     const std::string& error);
+  /// Emits the closing line and stops the watchdog (see stop_watchdog).
   void campaign_finished();
+  /// Stops and joins the watchdog thread, so the stream writes no more
+  /// heartbeat or stall lines; for a campaign that ends without
+  /// finishing (failed or cancelled). Events still append and jsonl()
+  /// stays readable. Idempotent; the destructor calls it too.
+  void stop_watchdog();
 
   /// Emits one heartbeat line now. The watchdog thread calls this on its
   /// period; tests call it directly for deterministic coverage.

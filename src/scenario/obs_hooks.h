@@ -23,8 +23,8 @@ struct ObsHooks {
   /// run-level gauges ("sim.events.dispatched", "chan.utilization", ...)
   /// post-run.
   obs::StatsRegistry* stats = nullptr;
-  /// Chrome trace writer: the kernel heartbeat and the packet log (when
-  /// both are set) emit into it.
+  /// Chrome trace writer: receives the packet log's mirror, one instant
+  /// event per log record, so it stays empty unless packet_log is set too.
   obs::ChromeTraceWriter* trace_sink = nullptr;
   /// Kernel profiler: per-component dispatch counts and handler wall time.
   obs::KernelProfiler* profiler = nullptr;

@@ -4,7 +4,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 
 #include "app/cbr.h"
@@ -15,7 +14,6 @@
 #include "netsim/simulator.h"
 #include "phy/channel.h"
 #include "runner/ensemble.h"
-#include "trace/ns2_format.h"
 #include "trace/trace_generator.h"
 
 namespace cavenet::scenario {
@@ -41,14 +39,7 @@ trace::MobilityTrace make_table1_trace(const TableIConfig& config) {
   trace::TraceGeneratorOptions options;
   options.steps = static_cast<std::int64_t>(config.duration_s);
   options.delta_offset = 1.0;
-  trace::MobilityTrace mobility = trace::generate_trace(road, options);
-
-  if (config.round_trip_trace_through_ns2_format) {
-    std::stringstream buffer;
-    trace::write_ns2(mobility, buffer);
-    mobility = trace::read_ns2(buffer);
-  }
-  return mobility;
+  return trace::generate_trace(road, options);
 }
 
 namespace {
@@ -170,11 +161,7 @@ std::vector<SenderRunResult> run_with_trace(
     obs.stats = &local_stats;
   }
   netsim::Simulator sim(config.seed);
-  if (obs.trace_sink != nullptr) sim.set_trace_sink(obs.trace_sink);
   if (obs.profiler != nullptr) sim.set_profiler(obs.profiler);
-  if (config.heartbeat_s > 0.0) {
-    sim.enable_heartbeat(SimTime::from_seconds(config.heartbeat_s));
-  }
   if (obs.packet_log != nullptr && obs.trace_sink != nullptr) {
     obs.packet_log->set_trace_sink(obs.trace_sink);
   }

@@ -77,14 +77,8 @@ struct TableIConfig {
   /// reference for equivalence tests and index-win measurements.
   phy::ChannelIndex channel_index = phy::ChannelIndex::kGrid;
 
-  /// When set, the mobility trace is serialized to ns-2 text and parsed
-  /// back before use, exercising the paper's two-block file interface.
-  bool round_trip_trace_through_ns2_format = false;
-
   /// Observability sinks (all optional, non-owning; see ObsHooks).
   ObsHooks obs;
-  /// Progress heartbeat period in sim seconds; 0 disables.
-  double heartbeat_s = 0.0;
   /// In-run stats snapshots at a fixed sim-time period (see
   /// obs/telemetry.h); the JSONL stream lands in
   /// SenderRunResult::telemetry_jsonl. Works without obs.stats wired —

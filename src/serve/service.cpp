@@ -467,6 +467,7 @@ void JobService::fail_locked(const std::shared_ptr<Job>& job,
   job->state = JobState::kFailed;
   job->error = error;
   queue_.cancel(job->id);
+  if (job->progress) job->progress->stop_watchdog();
 
   obs::JsonValue record = jobj();
   record.object.emplace_back("record", jstr("job_failed"));
@@ -485,6 +486,7 @@ bool JobService::cancel(const std::string& job_id) {
     if (terminal(job->state)) return true;  // idempotent
     job->state = JobState::kCancelled;
     queue_.cancel(job_id);
+    if (job->progress) job->progress->stop_watchdog();
 
     obs::JsonValue record = jobj();
     record.object.emplace_back("record", jstr("job_cancelled"));

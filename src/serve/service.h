@@ -52,7 +52,8 @@ struct ServiceOptions {
   /// Nesting-depth cap for submitted spec JSON (see obs::JsonParseLimits).
   std::size_t max_json_depth = 64;
   /// Per-job progress heartbeat/stall period; <= 0 disables the watchdog
-  /// (tests); the daemon uses a few seconds.
+  /// (tests); the daemon uses a few seconds. Each job's watchdog thread
+  /// stops when the job is done, fails or is cancelled.
   double heartbeat_period_s = 0.0;
 };
 

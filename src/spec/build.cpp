@@ -54,13 +54,8 @@ scenario::SenderRunResult run_point(const ScenarioSpec& spec,
                                     obs::StatsRegistry* stats) {
   scenario::TableIConfig config = spec.config;
   config.obs.stats = spec.collect_stats ? stats : nullptr;
-  if (spec.mobility_model == MobilityModel::kNas && !spec.transform) {
-    // Identical to the hardcoded benches' path (golden equivalence);
-    // make_table1_trace also covers the ns-2 round trip.
-    return scenario::run_table1(config);
-  }
-  const trace::MobilityTrace mobility = build_trace(spec);
-  return scenario::run_with_trace(mobility, config, {config.sender}).front();
+  return scenario::run_with_trace(build_trace(spec), config, {config.sender})
+      .front();
 }
 
 }  // namespace cavenet::spec

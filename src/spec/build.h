@@ -1,8 +1,9 @@
 // spec -> simulation wiring: materialize the mobility a ScenarioSpec
-// describes and run its protocol stack. The NaS path without a transform
-// goes through scenario::make_table1_trace / run_with_trace — exactly the
-// code path the hardcoded benches use — so a spec that mirrors a bench's
-// defaults reproduces that bench byte-for-byte.
+// describes and run its protocol stack. NaS mobility without a transform
+// is scenario::make_table1_trace, and every point runs through
+// scenario::run_with_trace — the composition run_table1 and the
+// hardcoded benches use — so a spec that mirrors a bench's defaults
+// reproduces that bench byte-for-byte.
 #ifndef CAVENET_SPEC_BUILD_H
 #define CAVENET_SPEC_BUILD_H
 

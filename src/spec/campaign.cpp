@@ -166,17 +166,11 @@ PointArtifacts run_campaign_point(const CampaignSpec& spec,
   for (const auto& [param, value] : point.axis_values) {
     manifest.set_param("sweep." + param, value);
   }
-  // Checkpoint as soon as the point completes (any order; the CSV is
-  // always rebuilt from the manifests in point order).
   manifest.strip_volatile();
   PointArtifacts artifacts;
   artifacts.pdr = result.pdr;
   artifacts.events_dispatched = result.events_dispatched;
   const std::string manifest_name = point_manifest_path(spec, point.index);
-  const std::string path = join_output_path(output_dir, manifest_name);
-  if (!manifest.write_file(path)) {
-    throw std::runtime_error("cannot write point manifest " + path);
-  }
   artifacts.files.push_back(manifest_name);
   if (!result.telemetry_jsonl.empty()) {
     const std::string telemetry_name = point_telemetry_path(spec, point.index);
@@ -189,6 +183,14 @@ PointArtifacts run_campaign_point(const CampaignSpec& spec,
                                telemetry_path);
     }
     artifacts.files.push_back(telemetry_name);
+  }
+  // The manifest is the checkpoint --resume trusts, so it is written
+  // last: a point whose other artifacts did not all land has none and
+  // re-runs. Checkpoints land in any point order; the CSV is always
+  // rebuilt from the manifests in point order.
+  const std::string path = join_output_path(output_dir, manifest_name);
+  if (!manifest.write_file(path)) {
+    throw std::runtime_error("cannot write point manifest " + path);
   }
   return artifacts;
 }

@@ -93,10 +93,10 @@ struct PointArtifacts {
   std::uint64_t events_dispatched = 0;
 };
 
-/// Runs one expanded point and writes its checkpoint manifest (and
-/// telemetry stream) under `output_dir`. This is the single-point body
-/// both run_campaign and the cavenet-serve workers execute, so
-/// server-run points are byte-identical to cavenet-run's by
+/// Runs one expanded point and writes its telemetry stream (when
+/// enabled) and then its checkpoint manifest under `output_dir`. This is
+/// the single-point body both run_campaign and the cavenet-serve workers
+/// execute, so server-run points are byte-identical to cavenet-run's by
 /// construction. Throws on simulation or write failure.
 PointArtifacts run_campaign_point(const CampaignSpec& spec,
                                   const CampaignPoint& point,

@@ -244,8 +244,6 @@ void parse_mobility(ObjectReader& r, ScenarioSpec& spec) {
     config.slowdown_p = r.get_double("slowdown_p", config.slowdown_p, 0.0, 1.0);
     config.circular_layout =
         r.get_enum("boundary", "circular", {"circular", "open"}) == "circular";
-    config.round_trip_trace_through_ns2_format =
-        r.get_bool("ns2_round_trip", false);
     if (const obs::JsonValue* t = r.find("transform")) {
       ObjectReader tr(*t, r.member_path("transform"));
       TransformSpec transform;
@@ -469,7 +467,6 @@ ScenarioSpec parse_scenario(const obs::JsonValue& value,
   if (const obs::JsonValue* v = r.find("obs")) {
     ObjectReader orr(*v, r.member_path("obs"));
     spec.collect_stats = orr.get_bool("stats", true);
-    config.heartbeat_s = orr.get_double("heartbeat_s", 0.0, 0.0, kInf);
     if (const obs::JsonValue* t = orr.find("telemetry")) {
       ObjectReader tr(*t, orr.member_path("telemetry"));
       // period_s is required: a telemetry block that samples nothing is

@@ -138,19 +138,32 @@ TEST(FullStackTest, StatsRegistryReconcilesWithPacketLog) {
                    static_cast<double>(result.events_dispatched));
 }
 
-TEST(FullStackTest, ObservabilityRunProducesManifestAndTrace) {
-  auto config = base_config();
-  config.protocol = Protocol::kDymo;
+/// bench_fig11_pdr's instrumented wiring: packet log, stats, trace and
+/// profiler on one DYMO run.
+struct InstrumentedRun {
   netsim::PacketLog log;
   obs::StatsRegistry stats;
   obs::ChromeTraceWriter trace;
   obs::KernelProfiler profiler;
-  config.obs.packet_log = &log;
-  config.obs.stats = &stats;
-  config.obs.trace_sink = &trace;
-  config.obs.profiler = &profiler;
-  config.heartbeat_s = 10.0;
-  const auto result = run_table1(config);
+  TableIConfig config = base_config();
+  SenderRunResult result;
+
+  InstrumentedRun() {
+    config.protocol = Protocol::kDymo;
+    config.obs.packet_log = &log;
+    config.obs.stats = &stats;
+    config.obs.trace_sink = &trace;
+    config.obs.profiler = &profiler;
+    result = run_table1(config);
+  }
+  InstrumentedRun(const InstrumentedRun&) = delete;
+  InstrumentedRun& operator=(const InstrumentedRun&) = delete;
+};
+
+TEST(FullStackTest, ObservabilityRunProducesManifestAndTrace) {
+  InstrumentedRun run;
+  const SenderRunResult& result = run.result;
+  const obs::KernelProfiler& profiler = run.profiler;
 
   // Profiler saw every dispatched event, attributed to real components.
   EXPECT_EQ(profiler.total_dispatches(), result.events_dispatched);
@@ -159,20 +172,23 @@ TEST(FullStackTest, ObservabilityRunProducesManifestAndTrace) {
   EXPECT_GT(profiler.components().count("dymo"), 0u);
   EXPECT_GT(profiler.components().count("app.cbr"), 0u);
 
-  // Trace mirrors the packet log (instants) plus heartbeat counters.
-  EXPECT_GE(trace.size(), log.size());
+  // Every trace event mirrors one packet-log record, so the trace is as
+  // deterministic as the log: a second run writes the same bytes.
+  EXPECT_EQ(run.trace.size(), run.log.size());
+  const InstrumentedRun rerun;
+  EXPECT_EQ(rerun.trace.to_json(), run.trace.to_json());
 
   // The manifest embeds config, results and the stats snapshot.
   const obs::RunManifest manifest =
-      make_run_manifest("full_stack", config, {result}, 0.5);
+      make_run_manifest("full_stack", run.config, {result}, 0.5);
   EXPECT_EQ(manifest.param("protocol"), "DYMO");
   EXPECT_DOUBLE_EQ(manifest.metric("pdr"), result.pdr);
   EXPECT_EQ(manifest.stats.counter("mac.tx.data"),
-            stats.counter("mac.tx.data").value());
+            run.stats.counter("mac.tx.data").value());
   // And round-trips through JSON.
   const auto parsed = obs::RunManifest::from_json(manifest.to_json());
   EXPECT_EQ(parsed.stats.counter("mac.tx.data"),
-            stats.counter("mac.tx.data").value());
+            run.stats.counter("mac.tx.data").value());
 }
 
 }  // namespace

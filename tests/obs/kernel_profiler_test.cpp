@@ -6,7 +6,6 @@
 
 #include "netsim/simulator.h"
 #include "obs/stats_registry.h"
-#include "obs/trace_sink.h"
 
 namespace cavenet::obs {
 namespace {
@@ -60,34 +59,6 @@ TEST(KernelProfilerTest, SimulatorAttributesLabeledEvents) {
   EXPECT_EQ(profiler.total_dispatches(), 3u);
   EXPECT_EQ(profiler.components().at("mac").dispatches, 2u);
   EXPECT_EQ(profiler.components().at("(unlabeled)").dispatches, 1u);
-}
-
-TEST(SimulatorHeartbeatTest, EmitsCounterEventsAndTerminates) {
-  netsim::Simulator sim(1);
-  ChromeTraceWriter trace;
-  sim.set_trace_sink(&trace);
-  sim.enable_heartbeat(SimTime::seconds(1));
-  // Work spanning 3.5 s keeps the heartbeat alive for 3 beats; the run
-  // must then terminate (the heartbeat must not self-sustain).
-  for (int i = 1; i <= 7; ++i) {
-    sim.schedule(SimTime::milliseconds(i * 500), [] {});
-  }
-  sim.run();
-  EXPECT_LE(sim.now(), SimTime::seconds(5));
-  // Each beat emits three counter series.
-  std::size_t rate_events = 0;
-  for (const TraceEvent& e : trace.events()) {
-    if (e.name == "sim.events_per_sec") {
-      EXPECT_EQ(e.phase, TraceEvent::Phase::kCounter);
-      ++rate_events;
-    }
-  }
-  EXPECT_GE(rate_events, 3u);
-}
-
-TEST(SimulatorHeartbeatTest, RejectsNonPositiveInterval) {
-  netsim::Simulator sim(1);
-  EXPECT_THROW(sim.enable_heartbeat(SimTime::zero()), std::invalid_argument);
 }
 
 }  // namespace

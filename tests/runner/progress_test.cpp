@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace cavenet::runner {
@@ -70,6 +72,30 @@ TEST(ProgressStreamTest, HeartbeatReportsRunningAndFinished) {
   EXPECT_NE(hb.find("\"running\":1"), std::string::npos);
   EXPECT_NE(hb.find("\"points\":4"), std::string::npos);
   EXPECT_NE(hb.find("\"wall_s\""), std::string::npos);
+}
+
+TEST(ProgressStreamTest, WatchdogBeatsUntilTheCampaignFinishes) {
+  ProgressOptions options = memory_only();
+  options.heartbeat_period_s = 0.01;
+  ProgressStream stream(1, 1, options);
+  stream.point_started(0, "only");
+  const auto has_heartbeat = [&stream] {
+    return stream.jsonl().find("\"event\":\"heartbeat\"") !=
+           std::string::npos;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!has_heartbeat() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(has_heartbeat()) << stream.jsonl();
+  stream.point_finished(0, "only", 1);
+  stream.campaign_finished();
+
+  // The watchdog stopped with the campaign: nothing more is appended.
+  const std::string closed = stream.jsonl();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(stream.jsonl(), closed);
 }
 
 TEST(ProgressStreamTest, WritesJsonlFile) {

@@ -1,5 +1,6 @@
 #include "scenario/table1.h"
 
+#include "trace/ns2_format.h"
 #include "trace/random_waypoint.h"
 
 #include <sstream>
@@ -116,10 +117,12 @@ TEST(Table1Test, StraightLineLayoutDegradesConnectivity) {
 }
 
 TEST(Table1Test, Ns2RoundTripTraceGivesSameResult) {
-  auto config = quick_config(Protocol::kDymo);
+  const auto config = quick_config(Protocol::kDymo);
   const auto direct = run_table1(config);
-  config.round_trip_trace_through_ns2_format = true;
-  const auto round_trip = run_table1(config);
+  std::stringstream buffer;
+  trace::write_ns2(make_table1_trace(config), buffer);
+  const auto round_trip =
+      run_with_trace(trace::read_ns2(buffer), config, {config.sender}).front();
   // Serializing coordinates at %.9g keeps the replayed motion identical
   // within double precision, so the packet-level outcome matches.
   EXPECT_EQ(direct.rx_packets, round_trip.rx_packets);

@@ -9,16 +9,19 @@
 //    simulated twice, no result is lost, and the final outputs
 //    byte-match;
 //  * a unit whose cache store throws fails its job, not the service;
+//  * a done or cancelled job's progress watchdog stops writing;
 //  * a spec whose outputs or name could leave the job directory is
 //    rejected before anything is journaled;
 //  * the HTTP surface (submit / status / results / events / cancel)
 //    over real sockets.
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/json.h"
@@ -370,6 +373,34 @@ TEST(JobServiceTest, CancelDropsPendingUnits) {
   EXPECT_EQ(restarted.job_status(job).find("state")->string, "cancelled");
   EXPECT_EQ(restarted.replayed_pending_units(), 0u);
   restarted.stop();
+}
+
+TEST(JobServiceTest, ProgressWatchdogStopsWhenTheJobEnds) {
+  // With a live watchdog, a job's progress.jsonl must stop growing once
+  // the job is done or cancelled: the daemon keeps every job, so a
+  // watchdog that outlived its job would beat for the daemon's lifetime.
+  const fs::path state = fresh_dir("serve_watchdog");
+  ServiceOptions options = base_options(state, 1);
+  options.heartbeat_period_s = 0.01;
+  JobService service(options);
+  const std::string done = service.submit(kOtherJson);
+  ASSERT_TRUE(service.wait(done, 60.0));
+  EXPECT_EQ(service.job_status(done).find("state")->string, "done");
+  const std::string cancelled = service.submit(kCampaignJson);
+  ASSERT_TRUE(service.cancel(cancelled));
+  service.stop();  // an in-flight unit of the cancelled job lands first
+
+  const std::vector<std::string> jobs{done, cancelled};
+  std::vector<std::string> before;
+  for (const std::string& job : jobs) {
+    before.push_back(slurp(fs::path(service.job_dir(job)) / "progress.jsonl"));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(slurp(fs::path(service.job_dir(jobs[i])) / "progress.jsonl"),
+              before[i])
+        << jobs[i];
+  }
 }
 
 TEST(JobServiceTest, HttpSurfaceEndToEnd) {

@@ -51,7 +51,7 @@ TEST(SpecParseTest, FullScenarioRoundTrip) {
       "routing": {"protocol": "dsdv"},
       "traffic": {"packets_per_second": 2, "payload_bytes": 256,
                   "start_s": 5, "stop_s": 45, "receiver": 0, "sender": 3},
-      "obs": {"stats": false, "heartbeat_s": 10}
+      "obs": {"stats": false}
     }
   })", "test.json");
   const scenario::TableIConfig& config = spec.scenario.config;
@@ -69,7 +69,6 @@ TEST(SpecParseTest, FullScenarioRoundTrip) {
   EXPECT_EQ(config.payload_bytes, 256u);
   EXPECT_EQ(config.sender, 3u);
   EXPECT_FALSE(spec.scenario.collect_stats);
-  EXPECT_DOUBLE_EQ(config.heartbeat_s, 10.0);
 }
 
 TEST(SpecParseTest, PhyIndexKeyIsRejectedAsUnknown) {
@@ -148,6 +147,25 @@ TEST(SpecParseTest, UnknownKeyIsRejectedWithSuggestion) {
       << what;
   EXPECT_NE(what.find("did you mean \"vehicles\"?"), std::string::npos)
       << what;
+
+  // Keys that were removed from the schema fail the same way, so an old
+  // spec names the path instead of being read with the key ignored.
+  struct Removed {
+    const char* scenario;
+    const char* path;
+  };
+  for (const Removed& removed : {
+           Removed{R"({"obs": {"heartbeat_s": 10}})",
+                   "$.scenario.obs.heartbeat_s"},
+           Removed{R"({"mobility": {"ns2_round_trip": true}})",
+                   "$.scenario.mobility.ns2_round_trip"},
+       }) {
+    const std::string error =
+        error_of(std::string(R"({"name": "t", "kind": "campaign", )") +
+                 R"("scenario": )" + removed.scenario + "}");
+    EXPECT_NE(error.find(removed.path), std::string::npos) << error;
+    EXPECT_NE(error.find("unknown key"), std::string::npos) << error;
+  }
 }
 
 TEST(SpecParseTest, EnumErrorListsChoicesAndSuggests) {

@@ -2,10 +2,13 @@
 //
 // Subcommands (mirroring the original CAVENET's MATLAB workflows):
 //   trace        generate an ns-2 mobility trace from the CA (or RW) model
-//   fd           fundamental diagram sweep (CSV to stdout)
 //   spacetime    ASCII space-time plot
-//   run          one Table-I protocol run, metrics to stdout
+//   stats        jam-cluster, gap and velocity statistics of one lane
 //   connectivity connectivity time series of a CA trace
+//
+// Fundamental diagrams and protocol runs are spec kinds: run
+// examples/specs/fig4_fundamental_diagram.json or fig8_aodv.json (or a
+// spec of your own) with cavenet-run.
 //
 // Run `cavenet <subcommand> --help` equivalent: any unknown flag aborts
 // with the list of valid flags for that subcommand.
@@ -13,13 +16,11 @@
 #include <iostream>
 #include <string>
 
-#include "core/fundamental_diagram.h"
 #include "core/geometry.h"
 #include "core/nas_lane.h"
 #include "core/road.h"
 #include "core/lane_statistics.h"
 #include "core/space_time.h"
-#include "scenario/table1.h"
 #include "trace/connectivity.h"
 #include "trace/csv_format.h"
 #include "trace/ns2_format.h"
@@ -37,10 +38,7 @@ int usage() {
                "usage: cavenet <subcommand> [flags]\n"
                "  trace        --nodes N --steps S --cells L --p P --seed K\n"
                "               [--line] [--rw] [--format ns2|csv] [--out FILE]\n"
-               "  fd           --cells L --p P --points N --trials T\n"
                "  spacetime    --rho R --p P --cells L --steps S\n"
-               "  run          --protocol aodv|olsr|dymo|dsdv --sender N\n"
-               "               [--seed K] [--p P] [--rts]\n"
                "  stats        --rho R --p P [--cells L] [--steps S]\n"
                "  connectivity --nodes N --steps S --p P [--range M]\n");
   return 2;
@@ -157,28 +155,6 @@ int cmd_stats(const CliArgs& args) {
   return 0;
 }
 
-int cmd_fd(const CliArgs& args) {
-  ca::FundamentalDiagramOptions options;
-  options.params.lane_length = args.get_int("cells", 400);
-  options.params.slowdown_p = args.get_double("p", 0.0);
-  options.densities = ca::density_ladder(
-      options.params.lane_length, args.get_double("max-density", 0.5),
-      static_cast<std::size_t>(args.get_int("points", 21)));
-  options.trials = args.get_int("trials", 20);
-  options.iterations = args.get_int("iterations", 500);
-  options.warmup = args.get_int("warmup", 200);
-  options.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  if (const int rc = reject_unknown(args)) return rc;
-
-  TableWriter csv({"rho", "J", "J_stddev", "mean_velocity"});
-  for (const auto& point : ca::fundamental_diagram(options)) {
-    csv.add_row({point.density, point.flow, point.flow_stddev,
-                 point.mean_velocity});
-  }
-  csv.write_csv(std::cout);
-  return 0;
-}
-
 int cmd_spacetime(const CliArgs& args) {
   const double rho = args.get_double("rho", 0.1);
   const double p = args.get_double("p", 0.3);
@@ -195,40 +171,6 @@ int cmd_spacetime(const CliArgs& args) {
                    ca::InitialPlacement::kRandom, Rng(seed));
   const auto raster = ca::record_space_time(lane, steps);
   raster.render_ascii(std::cout, 120);
-  return 0;
-}
-
-int cmd_run(const CliArgs& args) {
-  const std::string protocol = args.get_string("protocol", "aodv");
-  scenario::TableIConfig config;
-  if (protocol == "aodv") config.protocol = scenario::Protocol::kAodv;
-  else if (protocol == "olsr") config.protocol = scenario::Protocol::kOlsr;
-  else if (protocol == "dymo") config.protocol = scenario::Protocol::kDymo;
-  else if (protocol == "dsdv") config.protocol = scenario::Protocol::kDsdv;
-  else {
-    std::fprintf(stderr, "unknown protocol: %s\n", protocol.c_str());
-    return 2;
-  }
-  config.sender = static_cast<netsim::NodeId>(args.get_int("sender", 4));
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  config.slowdown_p = args.get_double("p", config.slowdown_p);
-  config.use_rts_cts = args.get_bool("rts", false);
-  if (const int rc = reject_unknown(args)) return rc;
-
-  const auto result = scenario::run_table1(config);
-  std::printf("protocol=%s sender=%u seed=%llu\n",
-              to_string(config.protocol), config.sender,
-              static_cast<unsigned long long>(config.seed));
-  std::printf("tx=%llu rx=%llu pdr=%.4f\n",
-              static_cast<unsigned long long>(result.tx_packets),
-              static_cast<unsigned long long>(result.rx_packets), result.pdr);
-  std::printf("mean_delay_s=%.4f max_delay_s=%.4f first_route_s=%.4f\n",
-              result.mean_delay_s, result.max_delay_s,
-              result.first_delivery_delay_s);
-  std::printf("ctrl_packets=%llu ctrl_bytes=%llu mac_retries=%llu\n",
-              static_cast<unsigned long long>(result.control_packets),
-              static_cast<unsigned long long>(result.control_bytes),
-              static_cast<unsigned long long>(result.mac_retries));
   return 0;
 }
 
@@ -267,9 +209,7 @@ int main(int argc, char** argv) {
   const CliArgs args(argc - 1, argv + 1);
   try {
     if (subcommand == "trace") return cmd_trace(args);
-    if (subcommand == "fd") return cmd_fd(args);
     if (subcommand == "spacetime") return cmd_spacetime(args);
-    if (subcommand == "run") return cmd_run(args);
     if (subcommand == "connectivity") return cmd_connectivity(args);
     if (subcommand == "stats") return cmd_stats(args);
   } catch (const std::exception& e) {
