@@ -16,9 +16,9 @@
 //              sanitizer presets.
 // --linear     use the brute-force channel (kLinear) instead of the
 //              grid, for A/B-ing the index's win. The grid channel
-//              derives its own strip count from each fleet's extent
-//              (docs/SCALING.md "Sharding"); the perf-smoke ctest
-//              bench_check_scale floors that win in-process.
+//              finds receivers from epoch anchors (docs/SCALING.md
+//              "Candidate search from epoch anchors"); the perf-smoke
+//              ctest bench_check_scale floors that win in-process.
 // --vehicles   comma-separated fleet-size override (e.g.
 //              --vehicles 10000).
 // --duration S sim-seconds override per point.

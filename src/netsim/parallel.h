@@ -1,9 +1,9 @@
 // Retired run-engine settings, kept so existing callers still compile.
 //
 // ParallelConfig is the value behind TableIConfig::parallel. A run is
-// single-threaded (docs/SCALING.md "Threading") and the channel derives
-// its own strip count (docs/SCALING.md "Sharding"), so nothing here
-// changes a run.
+// single-threaded (docs/SCALING.md "Threading") and the channel needs no
+// partition setting (docs/SCALING.md "Candidate search from epoch
+// anchors"), so nothing here changes a run.
 #ifndef CAVENET_NETSIM_PARALLEL_H
 #define CAVENET_NETSIM_PARALLEL_H
 

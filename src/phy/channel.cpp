@@ -5,6 +5,7 @@
 #include <cmath>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/units.h"
@@ -15,9 +16,10 @@ namespace {
 /// Gather buffer size for batch position lookups: one provider call
 /// serves up to this many consecutive same-provider members.
 constexpr std::size_t kRefreshGrain = 256;
-/// Upper bound on the derived strip count (2 253 km of extent at the
-/// WaveLAN radius): keeps per-strip state bounded for absurd extents.
-constexpr double kMaxStrips = 4096.0;
+/// Slack on the anchor reach, in metres: far above the float wobble of
+/// interpolated positions (and the 1e-6 m the verification allows), far
+/// below anything physical, so no radio in range is ever culled early.
+constexpr double kAnchorSlack = 1e-3;
 }  // namespace
 
 Channel::Attachment::Attachment(Attachment&& other) noexcept
@@ -54,6 +56,7 @@ Channel::Attachment Channel::attach(WifiPhy* phy) {
   slots_.push_back(phy);
   live_.push_back(1);
   positions_.push_back({});
+  anchors_.push_back({});
   const netsim::MobilityModel* mobility = phy->mobility();
   const netsim::BatchMobilityProvider* provider =
       mobility != nullptr ? mobility->batch_provider() : nullptr;
@@ -64,8 +67,8 @@ Channel::Attachment Channel::attach(WifiPhy* phy) {
   phy->set_channel(this, slot);
   min_cs_stale_ = true;
   radius_cache_.reset();
-  // Membership churn: strip assignment must be rebuilt before use.
-  shards_.invalidate();
+  // Membership churn: the newcomer has no anchor yet.
+  anchored_ = false;
   return Attachment(this, slot);
 }
 
@@ -83,7 +86,7 @@ void Channel::detach_slot(std::uint32_t slot) noexcept {
   // transmit rescans, so tearing down N radios stays O(N).
   min_cs_stale_ = true;
   radius_cache_.reset();
-  shards_.invalidate();
+  anchored_ = false;
 }
 
 void Channel::bind_stats(obs::StatsRegistry& registry) {
@@ -92,65 +95,43 @@ void Channel::bind_stats(obs::StatsRegistry& registry) {
   obs_culled_ = registry.counter("chan.culled");
 }
 
-void Channel::configure_shards(const ShardPlan& plan) {
-  if (plan.max_speed_mps < 0.0) {
-    throw std::invalid_argument("shard max speed must be >= 0");
+void Channel::set_speed_certificate(double max_speed_mps) {
+  if (!(max_speed_mps >= 0.0)) {
+    throw std::invalid_argument("certified max speed must be >= 0");
   }
-  if (!(plan.x_max > plan.x_min)) {
-    throw std::invalid_argument("shard plan needs a positive x extent");
-  }
-  plan_.reset();
-  strips_ = 0;
-  // The kLinear reference deliberately never shards: it exists to be the
-  // brute-force baseline the grid paths are compared against.
-  if (index_ != ChannelIndex::kGrid) return;
-  plan_ = plan;
+  // The kLinear reference deliberately ignores it: it exists to be the
+  // brute-force baseline the anchored grid is compared against.
+  if (index_ == ChannelIndex::kGrid) max_speed_mps_ = max_speed_mps;
 }
 
-std::uint32_t Channel::resolve_strips(const std::optional<double>& radius) {
-  if (strips_ != 0) return strips_;
-  const ShardPlan plan = plan_.value_or(ShardPlan{});
-  strips_ = 1;
-  const double extent = plan.x_max - plan.x_min;
-  if (plan_ && radius && *radius > 0.0) {
-    // As many strips as the extent holds radius-wide ones: a narrower
-    // strip buys nothing, since every query would touch several strips.
-    // Scenarios whose extent holds fewer than two stay one strip
-    // (docs/SCALING.md "Sharding").
-    const double fit = std::min(std::floor(extent / *radius), kMaxStrips);
-    if (fit > 1.0) strips_ = static_cast<std::uint32_t>(fit);
-  }
-  shards_.configure(strips_, plan.x_min, plan.x_max, plan.max_speed_mps);
-  shard_snapshot_time_.assign(strips_, SimTime::zero());
-  shard_snapshot_valid_.assign(strips_, 0);
-  shard_grid_built_.assign(strips_, 0);
-  shard_grids_.assign(strips_, SpatialGrid{});
-  return strips_;
-}
-
-void Channel::rebucket_shards(SimTime now) {
-  // One full O(radios) position pass per epoch; between epochs the
-  // per-transmit cost is the touched strips only.
+void Channel::reanchor(SimTime now, bool verify) {
   live_slots_.clear();
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
     if (live_[slot]) live_slots_.push_back(slot);
   }
   eval_member_positions(now, live_slots_);
-  shards_.rebucket(now, positions_, live_);
-  for (std::uint32_t s = 0; s < strips_; ++s) {
-    shard_snapshot_time_[s] = now;
-    shard_snapshot_valid_[s] = 1;
-    shard_grid_built_[s] = 0;
+  if (verify) {
+    // The bound is exact for any trajectory respecting the certified
+    // speed; the epsilon only absorbs the float rounding in
+    // piecewise-linear position interpolation.
+    const double bound = *max_speed_mps_ * (now - anchor_time_).sec() + 1e-6;
+    for (const std::uint32_t slot : live_slots_) {
+      const double moved = distance(positions_[slot], anchors_[slot]);
+      if (moved > bound) {
+        throw std::logic_error(
+            "channel speed certificate violated at slot " +
+            std::to_string(slot) + ": displacement " + std::to_string(moved) +
+            " m > bound " + std::to_string(bound) +
+            " m — mobility moved faster than the certified max speed "
+            "(teleport?); the scenario layer must give such a trace no "
+            "certificate");
+      }
+    }
   }
-}
-
-void Channel::refresh_strip(std::uint32_t s, SimTime now) {
-  if (shard_snapshot_valid_[s] && shard_snapshot_time_[s] == now) return;
-  const std::vector<std::uint32_t>& members = shards_.members(s);
-  eval_member_positions(now, members);
-  shard_snapshot_time_[s] = now;
-  shard_snapshot_valid_[s] = 1;
-  shard_grid_built_[s] = 0;
+  anchors_.swap(positions_);
+  anchor_time_ = now;
+  anchored_ = true;
+  grid_built_ = false;
 }
 
 std::optional<double> Channel::interaction_radius(double tx_power_w) {
@@ -183,7 +164,7 @@ void Channel::eval_member_positions(
     }
     return;
   }
-  // Strip members are scattered slots, so gather member ids and scatter
+  // Candidates are scattered slots, so gather member ids and scatter
   // results through stack buffers, one provider-run at a time.
   const std::size_t n = member_slots.size();
   std::array<std::uint32_t, kRefreshGrain> members;
@@ -220,65 +201,66 @@ void Channel::transmit(const WifiPhy& sender, const netsim::Packet& packet,
   const std::uint32_t sender_slot = sender.channel_slot_;
   const SimTime now = sim_->now();
 
-  // Only the strips the interaction radius (plus the drift margin) can
-  // reach get their positions refreshed. Resolved lazily because the
-  // strip count depends on the radius; without a plan this is one strip
-  // holding every live radio.
-  const std::uint32_t strips = resolve_strips(radius);
-  if (shards_.needs_rebucket(now)) rebucket_shards(now);
-  // The sender's own strip always lies inside the strip range queried
-  // below (its drift since the rebucket is within the margin), so
-  // refreshing it first costs nothing and yields the sender's position.
-  refresh_strip(shards_.strip_of_slot(sender_slot), now);
-  const Vec2 tx_pos = positions_[sender_slot];
+  // A certificate lets one set of anchors serve a whole epoch; without
+  // one (or without a range bound to pad) every new timestamp re-anchors,
+  // so positions are always exact.
+  const bool certified = max_speed_mps_ && radius;
+  if (!anchored_ ||
+      (now != anchor_time_ &&
+       (!certified || (now - anchor_time_).sec() >= kEpochSeconds))) {
+    reanchor(now, certified && anchored_);
+  }
+  // On the anchor timestamp the anchors are exact; later in the epoch the
+  // sender and each surviving candidate are evaluated at `now`.
+  const bool exact = now == anchor_time_;
+  if (!exact) eval_member_positions(now, {&sender_slot, 1});
+  const std::vector<Vec2>& pos = exact ? anchors_ : positions_;
+  const Vec2 tx_pos = pos[sender_slot];
 
   // Candidate collection: a conservative superset of the in-range
   // receivers, in ascending slot (attach) order. A bounded radius on a
-  // grid channel queries each touched strip's grid; kLinear and unbounded
-  // models walk every member instead.
-  std::uint32_t s0 = 0;
-  std::uint32_t s1 = strips - 1;
-  if (radius && strips > 1) {
-    const double reach = *radius + shards_.margin_at(now);
-    s0 = shards_.strip_of_x(tx_pos.x - reach);
-    s1 = shards_.strip_of_x(tx_pos.x + reach);
-  }
-  const bool use_grid = radius && index_ == ChannelIndex::kGrid;
-  scratch_.clear();
-  for (std::uint32_t s = s0; s <= s1; ++s) {
-    refresh_strip(s, now);
-    const std::vector<std::uint32_t>& members = shards_.members(s);
-    if (!use_grid) {
-      scratch_.insert(scratch_.end(), members.begin(), members.end());
-      continue;
+  // grid channel queries the anchor grid; kLinear and unbounded models
+  // walk every live radio instead.
+  std::span<const std::uint32_t> candidates = live_slots_;
+  if (radius && index_ == ChannelIndex::kGrid) {
+    if (!grid_built_) {
+      grid_.rebuild_members(anchors_, live_slots_, *radius);
+      grid_built_ = true;
     }
-    if (!shard_grid_built_[s]) {
-      shard_grids_[s].rebuild_members(positions_, members, *radius);
-      shard_grid_built_[s] = 1;
+    // A receiver within the radius now lies within the radius plus its
+    // certified drift of its anchor (only receivers drift here: the
+    // sender's position is exact).
+    const double drift =
+        exact ? 0.0 : *max_speed_mps_ * (now - anchor_time_).sec();
+    const double reach = *radius + drift + kAnchorSlack;
+    scratch_.clear();
+    grid_.query(tx_pos, reach, scratch_);
+    if (!exact) {
+      // Pre-cull on the anchor distance, then evaluate the survivors.
+      const double reach_sq = reach * reach;
+      std::erase_if(scratch_, [&](std::uint32_t slot) {
+        return slot == sender_slot ||
+               (anchors_[slot] - tx_pos).norm_sq() > reach_sq;
+      });
+      eval_member_positions(now, scratch_);
     }
-    shard_grids_[s].query(tx_pos, *radius, scratch_);
+    candidates = scratch_;
   }
-  // Each strip's candidates are ascending; restore the global attach
-  // order across strips so delivery scheduling is the same at any strip
-  // count, byte for byte.
-  if (s0 != s1) std::sort(scratch_.begin(), scratch_.end());
 
   // Exact distance cull (only when the model bounds range), then the
   // receive-power evaluation and the receiver's own carrier-sense cull,
-  // exactly as the full scan always did. The index (linear member walk /
-  // per-strip grids, any strip count) only changes how candidates are
-  // found — a conservative superset either way — never which ones
-  // survive this exact test, so counters and deliveries are identical
-  // across all of them.
+  // exactly as the full scan always did. The index (linear walk or
+  // anchor grid, any epoch) only changes how candidates are found — a
+  // conservative superset either way — never which ones survive this
+  // exact test, so counters and deliveries are identical across them.
   std::uint64_t evaluated = 0;
-  for (const std::uint32_t slot : scratch_) {
+  for (const std::uint32_t slot : candidates) {
     if (slot == sender_slot) continue;
-    const Vec2 rx_pos = positions_[slot];
-    const double d = distance(tx_pos, rx_pos);
+    const double d = distance(tx_pos, pos[slot]);
     if (radius && d > *radius) continue;
     ++evaluated;
     WifiPhy* rx = slots_[slot];
-    const double power = model_->rx_power_w(tx_power_w, tx_pos, rx_pos);
+    const double power = model_->rx_power_w(tx_power_w, d);
     if (power < rx->params().profile.cs_threshold_w) continue;
     const double delay_s = d / kSpeedOfLight;
     // The per-receiver copy shares the header stack (COW), so this is a

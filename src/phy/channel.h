@@ -2,19 +2,19 @@
 // radios that can interact with it, with per-link propagation loss and
 // speed-of-light delay.
 //
-// Scaling design (docs/SCALING.md): the channel partitions the world into
-// as many x-strips as the ShardPlan's extent holds interaction-radius-
-// wide strips (one strip without a plan). Each strip keeps a
-// per-timestamp snapshot of its members' positions and, when the
-// propagation model can bound its interaction range
-// (PropagationModel::max_range_m), a uniform grid over that snapshot;
-// a transmission refreshes only the strips its radius can reach
-// and only evaluates receive power for radios within the max-interaction
-// radius. Receivers beyond it are provably below every radio's
+// Scaling design (docs/SCALING.md "Candidate search from epoch anchors"):
+// once per epoch the channel evaluates every live radio's position (its
+// anchor) and, when the propagation model can bound its interaction range
+// (PropagationModel::max_range_m), rebuilds one uniform grid over those
+// anchors. A transmission queries the grid with the interaction radius
+// plus the certified drift since the anchor, and evaluates exact
+// positions and receive power only for radios that can still be within
+// the radius. Receivers beyond it are provably below every radio's
 // carrier-sense threshold, so the grid path is bitwise-identical to a
-// full scan — only cheaper. Models that cannot bound range (shadowing,
-// fading) and the kLinear reference walk every member of the strip
-// instead of querying its grid.
+// full scan — only cheaper. Channels without a speed certificate, models
+// that cannot bound range (shadowing, fading) and the kLinear reference
+// re-anchor at every new timestamp, so their positions are always exact;
+// the last two walk every radio instead of querying a grid.
 #ifndef CAVENET_PHY_CHANNEL_H
 #define CAVENET_PHY_CHANNEL_H
 
@@ -27,7 +27,6 @@
 #include "netsim/simulator.h"
 #include "obs/stats_registry.h"
 #include "phy/propagation.h"
-#include "phy/shard_map.h"
 #include "phy/spatial_grid.h"
 #include "phy/wifi_phy.h"
 
@@ -39,26 +38,11 @@ namespace cavenet::phy {
 /// kept for equivalence testing and for measuring the index's win.
 enum class ChannelIndex { kGrid, kLinear };
 
-/// Strip plan for the channel (docs/SCALING.md "Sharding"): the trace's
-/// certificate. The world's x-extent [x_min, x_max] is partitioned into
-/// max(1, floor(extent / interaction radius)) strips; each transmission
-/// only refreshes the position snapshot and spatial grid of the strips
-/// its interaction radius (plus drift margin) can reach, so the
-/// per-transmit snapshot cost drops from O(radios) to O(radios/strips).
-/// `max_speed_mps` must be a true bound on every radio's speed for the
-/// whole run — the scenario layer certifies it from the mobility trace
-/// and gives traces with mid-run teleports no plan; with more than one
-/// strip, ShardMap re-verifies it every epoch and throws on violation.
-/// Results are bitwise-identical at any strip count: the candidate
-/// superset changes, the evaluated set and event order never do.
-struct ShardPlan {
-  double x_min = 0.0;
-  double x_max = 0.0;
-  double max_speed_mps = 0.0;
-};
-
 class Channel {
  public:
+  /// Anchor lifetime on a certified channel, in simulation seconds.
+  static constexpr double kEpochSeconds = 1.0;
+
   /// RAII handle for one radio's membership on the medium: detaches on
   /// destruction (node teardown / churn). Obtained from Channel::attach;
   /// must not outlive the channel it came from.
@@ -104,34 +88,31 @@ class Channel {
   /// attached radio that can interact with it (each gets an independent
   /// copy).
   ///
-  /// Cost per call: with a range-bounded model, O(members of the touched
-  /// strips) position evaluations once per distinct simulation timestamp
-  /// (the strip snapshots) plus O(neighbours within the max-interaction
-  /// radius) receive-power evaluations and events; the kLinear fallback
-  /// and unbounded models pay O(radios) per call (every radio distance-
-  /// or power-evaluated), though events stay O(neighbours) either way.
+  /// Cost per call: with a range-bounded model and a speed certificate,
+  /// one grid query plus O(radios whose anchor lies within the radius
+  /// plus drift) position and receive-power evaluations and events, and
+  /// O(radios) once per epoch for the anchors; without a certificate the
+  /// anchors are re-evaluated once per distinct timestamp. The kLinear
+  /// fallback and unbounded models pay O(radios) per call (every radio
+  /// distance- or power-evaluated), though events stay O(neighbours)
+  /// either way.
   void transmit(const WifiPhy& sender, const netsim::Packet& packet,
                 SimTime duration, double tx_power_w);
 
-  /// Drops the cached per-timestamp strip snapshots and membership. Only
-  /// needed by callers that mutate a mobility model's position out-of-band
-  /// at the current timestamp (test harnesses teleporting nodes
-  /// mid-event); positions that are pure functions of simulation time
-  /// never need it.
-  void invalidate_positions() noexcept {
-    shards_.invalidate();
-    for (auto& v : shard_snapshot_valid_) v = 0;
-  }
+  /// Drops the anchors, so the next transmit re-evaluates every position
+  /// without checking the certificate. Only needed by callers that mutate
+  /// a mobility model's position out-of-band (test harnesses teleporting
+  /// nodes mid-event); positions that are pure functions of simulation
+  /// time never need it.
+  void invalidate_positions() noexcept { anchored_ = false; }
 
-  /// Installs a strip plan (see ShardPlan). Call before the run; without
-  /// a plan the channel runs as one strip. The strip count is resolved
-  /// lazily against the interaction radius — a world narrower than two
-  /// radius-wide strips stays one strip. Requires a grid-indexed channel;
-  /// the kLinear reference and unbounded models always run as one strip.
-  void configure_shards(const ShardPlan& plan);
-
-  /// Resolved strip count (0 until the first transmit resolves it).
-  std::uint32_t strips() const noexcept { return strips_; }
+  /// Installs the speed certificate: `max_speed_mps` (>= 0) must bound
+  /// every radio's speed for the whole run. The scenario layer certifies
+  /// it from the mobility trace and gives traces with jumps none. With
+  /// it, anchors serve a whole epoch and every re-anchor verifies the
+  /// bound, throwing std::logic_error on a radio that outran it. Call
+  /// before the run. The kLinear reference ignores it.
+  void set_speed_certificate(double max_speed_mps);
 
   PropagationModel& propagation() noexcept { return *model_; }
 
@@ -149,21 +130,16 @@ class Channel {
   /// Max-interaction radius for this transmit power against the most
   /// sensitive attached radio; nullopt when the model can't bound range.
   std::optional<double> interaction_radius(double tx_power_w);
-  /// Resolves the strip count against the first seen radius (how many
-  /// radius-wide strips fit the plan's extent; one strip without a plan
-  /// or a radius) and sizes the per-strip state.
-  std::uint32_t resolve_strips(const std::optional<double>& radius);
-  /// Re-evaluates every live position at `now` and rebuilds strip
-  /// membership.
-  void rebucket_shards(SimTime now);
+  /// Re-evaluates every live position at `now` as the new anchors; with
+  /// `verify`, first checks each radio's displacement since the previous
+  /// anchors against the certificate.
+  void reanchor(SimTime now, bool verify);
   /// Evaluates the positions of `member_slots` at `now` into positions_.
   /// Slots whose mobility model exposes a BatchMobilityProvider are
   /// served in bulk (one virtual call per run of consecutive same-
   /// provider slots) instead of per-radio virtual dispatch.
   void eval_member_positions(SimTime now,
                              std::span<const std::uint32_t> member_slots);
-  /// Ensures strip `s`'s members have fresh positions at `now`.
-  void refresh_strip(std::uint32_t s, SimTime now);
 
   netsim::Simulator* sim_;
   std::unique_ptr<PropagationModel> model_;
@@ -175,7 +151,9 @@ class Channel {
   // schedule order and therefore byte-level determinism.
   std::vector<WifiPhy*> slots_;
   std::vector<std::uint8_t> live_;
-  std::vector<Vec2> positions_;  ///< strip snapshots, parallel to slots_
+  /// Exact positions at the current transmit's timestamp, for the slots
+  /// it evaluated; parallel to slots_.
+  std::vector<Vec2> positions_;
   std::size_t live_count_ = 0;
 
   /// Batch-dispatch table, parallel to slots_: the slot's mobility
@@ -185,7 +163,7 @@ class Channel {
   std::vector<std::uint32_t> batch_member_;
   std::size_t batch_count_ = 0;  ///< live slots with a provider
 
-  std::vector<std::uint32_t> live_slots_;  ///< rebucket input, reused
+  std::vector<std::uint32_t> live_slots_;  ///< live at the anchor, ascending
   std::vector<std::uint32_t> scratch_;     ///< candidates, reused
 
   /// Smallest carrier-sense threshold over attached radios — the radius
@@ -202,16 +180,16 @@ class Channel {
   obs::Counter obs_evaluated_;  ///< chan.evaluated
   obs::Counter obs_culled_;     ///< chan.culled
 
-  // --- strips (configure_shards) ---
-  std::optional<ShardPlan> plan_;
-  ShardMap shards_;
-  /// Resolved strip count; 0 until the first transmit.
-  std::uint32_t strips_ = 0;
-  /// Per-strip snapshot freshness and grids, parallel to strips.
-  std::vector<SimTime> shard_snapshot_time_;
-  std::vector<std::uint8_t> shard_snapshot_valid_;
-  std::vector<std::uint8_t> shard_grid_built_;
-  std::vector<SpatialGrid> shard_grids_;
+  // --- epoch anchors ---
+  std::optional<double> max_speed_mps_;  ///< the speed certificate
+  /// Every live radio's position at anchor_time_; parallel to slots_.
+  std::vector<Vec2> anchors_;
+  SimTime anchor_time_ = SimTime::zero();
+  /// False until the first anchor and after churn or
+  /// invalidate_positions(): the next transmit re-anchors unverified.
+  bool anchored_ = false;
+  SpatialGrid grid_;  ///< over anchors_, cell size = interaction radius
+  bool grid_built_ = false;
 };
 
 }  // namespace cavenet::phy

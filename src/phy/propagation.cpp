@@ -44,8 +44,7 @@ constexpr double kRangePad = 1.001;
 FreeSpaceModel::FreeSpaceModel(RadioConstants constants)
     : constants_(constants) {}
 
-double FreeSpaceModel::rx_power_w(double tx_power_w, Vec2 tx, Vec2 rx) {
-  const double d = distance(tx, rx);
+double FreeSpaceModel::rx_power_w(double tx_power_w, double d) {
   if (d <= 0.0) return tx_power_w;
   return friis(tx_power_w, d, constants_);
 }
@@ -61,8 +60,7 @@ TwoRayGroundModel::TwoRayGroundModel(RadioConstants constants)
       crossover_m_(4.0 * std::numbers::pi * constants.antenna_height_m *
                    constants.antenna_height_m / constants.wavelength_m()) {}
 
-double TwoRayGroundModel::rx_power_w(double tx_power_w, Vec2 tx, Vec2 rx) {
-  const double d = distance(tx, rx);
+double TwoRayGroundModel::rx_power_w(double tx_power_w, double d) {
   if (d <= 0.0) return tx_power_w;
   if (d < crossover_m_) return friis(tx_power_w, d, constants_);
   const double h = constants_.antenna_height_m;
@@ -109,14 +107,15 @@ RayleighFadingModel::RayleighFadingModel(
   if (!base_) throw std::invalid_argument("fading needs a base model");
 }
 
-double RayleighFadingModel::rx_power_w(double tx_power_w, Vec2 tx, Vec2 rx) {
+double RayleighFadingModel::rx_power_w(double tx_power_w,
+                                       double distance_m) {
   // |h|^2 with h circularly-symmetric complex Gaussian: Exp(1), unit mean.
   const double fade = rng_.exponential(1.0);
-  return base_->rx_power_w(tx_power_w, tx, rx) * fade;
+  return base_->rx_power_w(tx_power_w, distance_m) * fade;
 }
 
-double ShadowingModel::rx_power_w(double tx_power_w, Vec2 tx, Vec2 rx) {
-  const double d = std::max(distance(tx, rx), d0_m_);
+double ShadowingModel::rx_power_w(double tx_power_w, double distance_m) {
+  const double d = std::max(distance_m, d0_m_);
   const double mean_db = ratio_to_db(pr0_factor_ * tx_power_w) -
                          10.0 * beta_ * std::log10(d / d0_m_);
   const double shadow_db = sigma_db_ > 0.0 ? rng_.normal(0.0, sigma_db_) : 0.0;

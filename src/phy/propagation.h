@@ -15,7 +15,6 @@
 #include <optional>
 
 #include "util/rng.h"
-#include "util/vec2.h"
 
 namespace cavenet::phy {
 
@@ -34,9 +33,11 @@ class PropagationModel {
  public:
   virtual ~PropagationModel() = default;
 
-  /// Received power in Watts for a transmission of `tx_power_w` from `tx`
-  /// to `rx`. Stochastic models draw from their own RNG stream.
-  virtual double rx_power_w(double tx_power_w, Vec2 tx, Vec2 rx) = 0;
+  /// Received power in Watts for a transmission of `tx_power_w` received
+  /// `distance_m` away. Every model depends on the geometry only through
+  /// that distance, which the channel has already computed for its range
+  /// cull. Stochastic models draw from their own RNG stream.
+  virtual double rx_power_w(double tx_power_w, double distance_m) = 0;
 
   /// Conservative upper bound on the distance at which a transmission of
   /// `tx_power_w` can still arrive with at least `min_power_w`: beyond the
@@ -59,7 +60,7 @@ class PropagationModel {
 class FreeSpaceModel final : public PropagationModel {
  public:
   explicit FreeSpaceModel(RadioConstants constants = {});
-  double rx_power_w(double tx_power_w, Vec2 tx, Vec2 rx) override;
+  double rx_power_w(double tx_power_w, double distance_m) override;
   std::optional<double> max_range_m(double tx_power_w,
                                     double min_power_w) const override;
 
@@ -72,7 +73,7 @@ class FreeSpaceModel final : public PropagationModel {
 class TwoRayGroundModel final : public PropagationModel {
  public:
   explicit TwoRayGroundModel(RadioConstants constants = {});
-  double rx_power_w(double tx_power_w, Vec2 tx, Vec2 rx) override;
+  double rx_power_w(double tx_power_w, double distance_m) override;
   std::optional<double> max_range_m(double tx_power_w,
                                     double min_power_w) const override;
 
@@ -90,7 +91,7 @@ class ShadowingModel final : public PropagationModel {
   ShadowingModel(double path_loss_exponent, double sigma_db, Rng rng,
                  double reference_distance_m = 1.0,
                  RadioConstants constants = {});
-  double rx_power_w(double tx_power_w, Vec2 tx, Vec2 rx) override;
+  double rx_power_w(double tx_power_w, double distance_m) override;
 
  private:
   RadioConstants constants_;
@@ -108,7 +109,7 @@ class ShadowingModel final : public PropagationModel {
 class RayleighFadingModel final : public PropagationModel {
  public:
   RayleighFadingModel(std::unique_ptr<PropagationModel> base, Rng rng);
-  double rx_power_w(double tx_power_w, Vec2 tx, Vec2 rx) override;
+  double rx_power_w(double tx_power_w, double distance_m) override;
 
  private:
   std::unique_ptr<PropagationModel> base_;

@@ -2,25 +2,37 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace cavenet::phy {
 
 namespace {
 
-/// Packs two cell coordinates into one key. Coordinates are truncated to
-/// 32 bits; scenarios large enough to wrap (cell span beyond ±2^31) only
-/// alias distant cells together, which keeps queries a conservative
-/// superset — never a miss.
+constexpr std::int64_t kMinCell = std::numeric_limits<std::int32_t>::min();
+constexpr std::int64_t kMaxCell = std::numeric_limits<std::int32_t>::max();
+
+/// Packs two cell coordinates in [kMinCell, kMaxCell] into one key that
+/// orders like (cx, cy): each is biased to an unsigned 32-bit field.
 std::uint64_t pack_cell(std::int64_t cx, std::int64_t cy) noexcept {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
-         static_cast<std::uint32_t>(cy);
+  return (static_cast<std::uint64_t>(cx - kMinCell) << 32) |
+         static_cast<std::uint64_t>(cy - kMinCell);
+}
+
+std::int64_t column_of(std::uint64_t key) noexcept {
+  return static_cast<std::int64_t>(key >> 32) + kMinCell;
 }
 
 }  // namespace
 
 std::int64_t SpatialGrid::cell_coord(double v) const noexcept {
-  return static_cast<std::int64_t>(std::floor(v / cell_size_));
+  // Clamped before the cast, so no coordinate reaches an out-of-range
+  // conversion. Far-off points share the edge cells, and floor plus clamp
+  // stays monotone, so queries remain a conservative superset.
+  const double c = std::floor(v / cell_size_);
+  if (!(c > static_cast<double>(kMinCell))) return kMinCell;  // NaN too
+  if (c > static_cast<double>(kMaxCell)) return kMaxCell;
+  return static_cast<std::int64_t>(c);
 }
 
 void SpatialGrid::rebuild_members(std::span<const Vec2> positions,
@@ -47,16 +59,21 @@ void SpatialGrid::query(Vec2 center, double radius,
   const std::int64_t x1 = cell_coord(center.x + radius);
   const std::int64_t y0 = cell_coord(center.y - radius);
   const std::int64_t y1 = cell_coord(center.y + radius);
-  for (std::int64_t cx = x0; cx <= x1; ++cx) {
-    for (std::int64_t cy = y0; cy <= y1; ++cy) {
-      const std::uint64_t key = pack_cell(cx, cy);
-      auto it = std::lower_bound(
-          entries_.begin(), entries_.end(), key,
-          [](const auto& entry, std::uint64_t k) { return entry.first < k; });
-      for (; it != entries_.end() && it->first == key; ++it) {
-        out.push_back(it->second);
-      }
+  // One contiguous key run per column; the search resumes where the last
+  // run ended and jumps over empty columns, so even a query box wider than
+  // the world costs at most one search per occupied column.
+  auto it = entries_.begin();
+  for (std::int64_t cx = x0; cx <= x1;) {
+    const std::uint64_t first = pack_cell(cx, y0);
+    const std::uint64_t last = pack_cell(cx, y1);
+    it = std::lower_bound(
+        it, entries_.end(), first,
+        [](const auto& entry, std::uint64_t k) { return entry.first < k; });
+    for (; it != entries_.end() && it->first <= last; ++it) {
+      out.push_back(it->second);
     }
+    if (it == entries_.end()) break;
+    cx = std::max(cx + 1, column_of(it->first));
   }
   // Each cell run is ascending, but cells are visited in coordinate
   // order; restore global index order for the caller.

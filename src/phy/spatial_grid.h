@@ -1,10 +1,10 @@
 // Uniform-grid spatial index over radio positions.
 //
-// The channel rebuilds the grid from a per-timestamp position snapshot
-// and range-queries it per transmission, turning the "which radios can
-// this frame possibly reach" question from an O(radios) scan into a
-// lookup over the handful of cells that intersect the propagation
-// model's max-interaction radius.
+// The channel rebuilds one grid over the whole fleet's epoch anchors
+// (docs/SCALING.md "Candidate search from epoch anchors") and
+// range-queries it per transmission, turning the "which radios can this
+// frame possibly reach" question from an O(radios) scan into a lookup
+// over the handful of cells that intersect the query circle.
 //
 // Queries are deliberately conservative at cell granularity: they return
 // every bucketed point in any cell overlapping the query circle's
@@ -26,10 +26,9 @@ namespace cavenet::phy {
 class SpatialGrid {
  public:
   /// Rebuckets exactly the points named in `members` (indices into
-  /// `positions`). The channel keeps one grid per strip over that
-  /// strip's member list, so a rebuild costs O(members) instead of
-  /// O(all radios). `cell_size` (> 0) is normally the max-interaction
-  /// radius, making a radius query touch at most 3x3 cells.
+  /// `positions`), so tombstoned slots stay out. `cell_size` (> 0) is
+  /// normally the max-interaction radius, making a radius query touch at
+  /// most 3x3 cells.
   void rebuild_members(std::span<const Vec2> positions,
                        std::span<const std::uint32_t> members,
                        double cell_size);
@@ -47,9 +46,9 @@ class SpatialGrid {
  private:
   std::int64_t cell_coord(double v) const noexcept;
 
-  /// (packed cell key, point index), sorted — cells are contiguous runs
-  /// found by binary search, so rebuilds are a sort instead of a hash-map
-  /// churn and queries are allocation-free.
+  /// (packed cell key, point index), sorted. Keys order like (cx, cy), so
+  /// a query column's cells are one contiguous run: rebuilds are a sort
+  /// instead of a hash-map churn and queries are allocation-free.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> entries_;
   double cell_size_ = 0.0;
 };

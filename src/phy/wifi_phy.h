@@ -49,12 +49,12 @@ class WifiPhy {
 
   netsim::NodeId id() const noexcept { return id_; }
   Vec2 position() const { return mobility_->position(sim_->now()); }
-  /// Position at an explicit simulation time (the channel's strip
-  /// refreshes and rebuckets evaluate this).
+  /// Position at an explicit simulation time (the channel's anchors and
+  /// candidate evaluations read this).
   Vec2 position_at(SimTime at) const { return mobility_->position(at); }
   /// The mobility model answering position queries. The channel inspects
-  /// it at attach time for a BatchMobilityProvider so strip refreshes
-  /// can be served in bulk.
+  /// it at attach time for a BatchMobilityProvider so anchor and
+  /// candidate evaluations can be served in bulk.
   const netsim::MobilityModel* mobility() const noexcept { return mobility_; }
   const PhyParams& params() const noexcept { return params_; }
 

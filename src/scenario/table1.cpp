@@ -1,7 +1,7 @@
 #include "scenario/table1.h"
 
 #include <algorithm>
-#include <limits>
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -63,38 +63,28 @@ std::unique_ptr<phy::PropagationModel> make_propagation(
   throw std::invalid_argument("unknown propagation model");
 }
 
-/// Derives the channel's strip plan from the mobility trace: the
-/// x-extent over every position the trace can visit, plus the certified
-/// max speed over all setdest events (the drift bound the shard map's
-/// conservative lookahead rests on). Returns nullopt — the channel runs
-/// as one strip — when the trace teleports nodes mid-run (the
-/// straight-line layout's lane-wrap jumps violate any speed bound), or
-/// when the trace has no x extent at all.
-std::optional<phy::ShardPlan> make_shard_plan(
-    const trace::MobilityTrace& mobility) {
-  double x_min = std::numeric_limits<double>::infinity();
-  double x_max = -std::numeric_limits<double>::infinity();
+/// Derives the channel's speed certificate from the mobility trace: the
+/// max speed over all setdest events, the drift bound the channel's epoch
+/// anchors rest on (docs/SCALING.md "Candidate search from epoch
+/// anchors"). Returns nullopt — the channel re-anchors at every timestamp
+/// — when any event is one that compile_paths turns into a jump: a set
+/// position (the straight-line layout's lane-wrap teleports) or a setdest
+/// whose speed is not a positive finite number. That holds at t = 0 too,
+/// where a path still reads its initial position.
+std::optional<double> speed_certificate(const trace::MobilityTrace& mobility) {
   double max_speed = 0.0;
-  for (const Vec2& p : mobility.initial_positions) {
-    x_min = std::min(x_min, p.x);
-    x_max = std::max(x_max, p.x);
-  }
   for (const trace::TraceEvent& e : mobility.events) {
-    if (e.kind == trace::TraceEvent::Kind::kSetPosition && e.time_s > 0.0) {
+    if (e.kind == trace::TraceEvent::Kind::kSetPosition ||
+        !(e.speed_ms > 0.0) || !std::isfinite(e.speed_ms)) {
       return std::nullopt;
     }
-    x_min = std::min(x_min, e.target.x);
-    x_max = std::max(x_max, e.target.x);
-    if (e.kind == trace::TraceEvent::Kind::kSetDest) {
-      max_speed = std::max(max_speed, e.speed_ms);
-    }
+    max_speed = std::max(max_speed, e.speed_ms);
   }
-  if (!(x_max > x_min)) return std::nullopt;
-  return phy::ShardPlan{x_min, x_max, max_speed};
+  return max_speed;
 }
 
 /// Bulk position source over the compiled per-node paths: the channel's
-/// per-timestamp strip refresh makes one virtual call per batch of
+/// anchor and candidate evaluations make one virtual call per batch of
 /// nodes instead of a virtual hop + std::function hop per node. Member
 /// ids are node ids; the arithmetic per node is NodePath::position /
 /// ::velocity either way, so runs are byte-identical to the per-node
@@ -167,9 +157,8 @@ std::vector<SenderRunResult> run_with_trace(
   }
   phy::Channel channel(sim, make_propagation(config, sim),
                        config.channel_index);
-  if (const std::optional<phy::ShardPlan> plan =
-          make_shard_plan(mobility)) {
-    channel.configure_shards(*plan);
+  if (const std::optional<double> max_speed = speed_certificate(mobility)) {
+    channel.set_speed_certificate(*max_speed);
   }
   if (obs.stats != nullptr) channel.bind_stats(*obs.stats);
 

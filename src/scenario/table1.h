@@ -56,12 +56,12 @@ struct TableIConfig {
   // Simulation.
   double duration_s = 100.0;
   std::uint64_t seed = 1;
-  /// Has no effect (see netsim::ParallelConfig). The channel derives its
-  /// own strip count from the trace's x-extent and its interaction
-  /// radius (docs/SCALING.md "Sharding"), and runs as one strip when the
-  /// trace cannot certify a max speed (mid-run teleports, e.g. the
-  /// straight-line layout's lane-wrap jumps) or the world is too small to
-  /// hold two interaction-radius-wide strips.
+  /// Has no effect (see netsim::ParallelConfig). The channel finds
+  /// receivers from epoch anchors in one whole-fleet grid, padded by the
+  /// max speed the trace certifies (docs/SCALING.md "Candidate search
+  /// from epoch anchors"); a trace with jumps (e.g. the straight-line
+  /// layout's lane-wrap teleports) gets no certificate, and the channel
+  /// re-anchors at every timestamp instead.
   netsim::ParallelConfig parallel;
 
   // Radio.

@@ -181,6 +181,7 @@ class ObjectReader {
 };
 
 constexpr double kInf = 1e308;
+constexpr double kMaxTranslate = 1e9;  ///< metres
 constexpr std::int64_t kMaxCells = 1'000'000'000;
 
 /// Outputs are written relative to the output directory (or a job's
@@ -249,8 +250,12 @@ void parse_mobility(ObjectReader& r, ScenarioSpec& spec) {
       TransformSpec transform;
       transform.rotate_deg =
           tr.get_double("rotate_deg", 0.0, -360.0, 360.0);
-      transform.translate_x = tr.get_double("translate_x", 0.0, -kInf, kInf);
-      transform.translate_y = tr.get_double("translate_y", 0.0, -kInf, kInf);
+      // ±1e9 m: a double still resolves positions below 1 µm there, and
+      // the channel's grid cells stay inside 32 bits.
+      transform.translate_x =
+          tr.get_double("translate_x", 0.0, -kMaxTranslate, kMaxTranslate);
+      transform.translate_y =
+          tr.get_double("translate_y", 0.0, -kMaxTranslate, kMaxTranslate);
       transform.mirror_x = tr.get_bool("mirror_x", false);
       tr.finish();
       spec.transform = transform;
@@ -448,9 +453,9 @@ ScenarioSpec parse_scenario(const obs::JsonValue& value,
   if (const obs::JsonValue* v = r.find("engine")) {
     ObjectReader er(*v, r.member_path("engine"));
     // Accepted and range-checked so existing specs stay valid, but
-    // neither key changes a run: the channel derives its own strip count
-    // (docs/SCALING.md "Sharding") and a run is single-threaded. The
-    // block is never part of the scenario's identity.
+    // neither key changes a run: the channel has no partition to set
+    // (docs/SCALING.md "Candidate search from epoch anchors") and a run is
+    // single-threaded. The block is never part of the scenario's identity.
     if (const obs::JsonValue* p = er.find("parallel")) {
       ObjectReader pr(*p, er.member_path("parallel"));
       pr.get_int("shards", 1, 1, 4096);

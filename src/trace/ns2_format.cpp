@@ -1,7 +1,9 @@
 #include "trace/ns2_format.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -22,6 +24,22 @@ std::string fmt(double v) {
   msg << "ns-2 trace parse error at line " << line_no << " (" << what
       << "): " << line;
   throw std::runtime_error(msg.str());
+}
+
+/// Node ids index a per-node vector, so they are capped at the spec
+/// schema's `vehicles` limit: a larger id would wrap `max_node + 1` or
+/// size that vector from one hostile line.
+constexpr unsigned long kMaxNodes = 1'000'000;
+
+/// Checks one parsed line's node id and numbers, and returns the id.
+std::uint32_t checked_node(std::size_t line_no, const std::string& line,
+                           unsigned long node,
+                           std::initializer_list<double> numbers) {
+  if (node >= kMaxNodes) parse_error(line_no, line, "node id >= 1000000");
+  for (const double v : numbers) {
+    if (!std::isfinite(v)) parse_error(line_no, line, "non-finite number");
+  }
+  return static_cast<std::uint32_t>(node);
 }
 
 }  // namespace
@@ -69,13 +87,13 @@ MobilityTrace read_ns2(std::istream& in) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
 
-    unsigned node = 0;
+    unsigned long id = 0;
     double value = 0.0;
     char axis = 0;
     // Initial position: $node_(3) set X_ 1.25
-    if (std::sscanf(line.c_str(), "$node_(%u) set %c_ %lf", &node, &axis,
+    if (std::sscanf(line.c_str(), "$node_(%lu) set %c_ %lf", &id, &axis,
                     &value) == 3) {
-      Vec2& p = initial[node];
+      Vec2& p = initial[checked_node(line_no, line, id, {value})];
       if (axis == 'X') p.x = value;
       else if (axis == 'Y') p.y = value;
       else if (axis != 'Z') parse_error(line_no, line, "unknown axis");
@@ -84,11 +102,12 @@ MobilityTrace read_ns2(std::istream& in) {
     double t = 0.0;
     double x = 0.0, y = 0.0, speed = 0.0;
     // Waypoint: $ns_ at 2 "$node_(3) setdest 130.9 7.5 7.5"
-    if (std::sscanf(line.c_str(), "$ns_ at %lf \"$node_(%u) setdest %lf %lf %lf\"",
-                    &t, &node, &x, &y, &speed) == 5) {
+    if (std::sscanf(line.c_str(),
+                    "$ns_ at %lf \"$node_(%lu) setdest %lf %lf %lf\"", &t, &id,
+                    &x, &y, &speed) == 5) {
       TraceEvent ev;
       ev.time_s = t;
-      ev.node = node;
+      ev.node = checked_node(line_no, line, id, {t, x, y, speed});
       ev.kind = TraceEvent::Kind::kSetDest;
       ev.target = {x, y};
       ev.speed_ms = speed;
@@ -96,8 +115,9 @@ MobilityTrace read_ns2(std::istream& in) {
       continue;
     }
     // Teleport half: $ns_ at 3 "$node_(3) set X_ 1.0"
-    if (std::sscanf(line.c_str(), "$ns_ at %lf \"$node_(%u) set %c_ %lf\"", &t,
-                    &node, &axis, &value) == 4) {
+    if (std::sscanf(line.c_str(), "$ns_ at %lf \"$node_(%lu) set %c_ %lf\"",
+                    &t, &id, &axis, &value) == 4) {
+      const std::uint32_t node = checked_node(line_no, line, id, {t, value});
       auto& ev = teleports[{t, node}];
       ev.time_s = t;
       ev.node = node;

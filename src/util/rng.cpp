@@ -70,20 +70,48 @@ double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
 }
 
-void Rng::jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::array<std::uint64_t, 4> acc{};
-  for (const std::uint64_t word : kJump) {
-    for (int bit = 0; bit < 64; ++bit) {
-      if (word & (1ULL << bit)) {
-        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] ^= s_[i];
+std::array<std::uint64_t, 4> Rng::jump_state(
+    const std::array<std::uint64_t, 4>& state) noexcept {
+  using State = std::array<std::uint64_t, 4>;
+  using Table = std::array<std::array<State, 16>, 64>;
+  // Campaign workers construct streams concurrently; a function-local
+  // static is initialized exactly once, whichever thread gets here first.
+  static const Table table = [] {
+    // The jump by its definition (xoshiro256** 1.0's long-jump
+    // polynomial): 256 steps, accumulating the state at each set bit.
+    const auto bitwise_jump = [](State s) {
+      static constexpr std::uint64_t kJump[] = {
+          0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
+          0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
+      State acc{};
+      for (const std::uint64_t word : kJump) {
+        for (int bit = 0; bit < 64; ++bit) {
+          if (word & (1ULL << bit)) {
+            for (std::size_t i = 0; i < acc.size(); ++i) acc[i] ^= s[i];
+          }
+          step_(s);
+        }
       }
-      next_u64();
+      return acc;
+    };
+    Table t{};
+    for (std::size_t nibble = 0; nibble < 64; ++nibble) {
+      for (unsigned value = 1; value < 16; ++value) {
+        State fragment{};
+        fragment[nibble / 16] = std::uint64_t{value} << (4 * (nibble % 16));
+        t[nibble][value] = bitwise_jump(fragment);
+      }
     }
+    return t;
+  }();
+
+  State acc{};
+  for (std::size_t nibble = 0; nibble < 64; ++nibble) {
+    const std::size_t value = (state[nibble / 16] >> (4 * (nibble % 16))) & 0xF;
+    const State& image = table[nibble][value];
+    for (std::size_t i = 0; i < acc.size(); ++i) acc[i] ^= image[i];
   }
-  s_ = acc;
+  return acc;
 }
 
 }  // namespace cavenet

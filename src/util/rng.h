@@ -77,13 +77,7 @@ class Rng {
   /// cross-TU call.
   std::uint64_t next_u64() noexcept {
     const std::uint64_t result = rotl_(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl_(s_[3], 45);
+    step_(s_);
     return result;
   }
 
@@ -126,11 +120,29 @@ class Rng {
   }
 
   /// Long-jump equivalent: discards 2^128 draws, for stream separation.
-  void jump() noexcept;
+  void jump() noexcept { s_ = jump_state(s_); }
+
+  /// The jump as a map on a raw xoshiro256** state. The jump is linear
+  /// over GF(2), so it is served from a table holding the jump of every
+  /// nibble value at each of the state's 64 nibble positions (32 KB,
+  /// built once from the bitwise definition on first use, thread-safe):
+  /// 64 lookups instead of 256 generator steps.
+  static std::array<std::uint64_t, 4> jump_state(
+      const std::array<std::uint64_t, 4>& state) noexcept;
 
  private:
   static constexpr std::uint64_t rotl_(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
+  }
+  /// xoshiro256**'s state transition: next_u64() without its output.
+  static constexpr void step_(std::array<std::uint64_t, 4>& s) noexcept {
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl_(s[3], 45);
   }
 
   std::array<std::uint64_t, 4> s_{};

@@ -25,19 +25,19 @@ TEST(FreeSpaceTest, MatchesFriisFormula) {
   const double lambda = c.wavelength_m();
   const double expected =
       pt * lambda * lambda / std::pow(4.0 * std::numbers::pi * d, 2.0);
-  EXPECT_NEAR(model.rx_power_w(pt, {0, 0}, {d, 0}), expected, expected * 1e-9);
+  EXPECT_NEAR(model.rx_power_w(pt, d), expected, expected * 1e-9);
 }
 
 TEST(FreeSpaceTest, InverseSquareLaw) {
   FreeSpaceModel model;
-  const double p1 = model.rx_power_w(1.0, {0, 0}, {100, 0});
-  const double p2 = model.rx_power_w(1.0, {0, 0}, {200, 0});
+  const double p1 = model.rx_power_w(1.0, 100.0);
+  const double p2 = model.rx_power_w(1.0, 200.0);
   EXPECT_NEAR(p1 / p2, 4.0, 1e-9);
 }
 
 TEST(FreeSpaceTest, ZeroDistanceReturnsTxPower) {
   FreeSpaceModel model;
-  EXPECT_DOUBLE_EQ(model.rx_power_w(0.5, {3, 4}, {3, 4}), 0.5);
+  EXPECT_DOUBLE_EQ(model.rx_power_w(0.5, 0.0), 0.5);
 }
 
 TEST(TwoRayGroundTest, CrossoverDistance) {
@@ -51,14 +51,14 @@ TEST(TwoRayGroundTest, FreeSpaceBelowCrossover) {
   TwoRayGroundModel two_ray(c);
   FreeSpaceModel free_space(c);
   const double d = 50.0;  // below crossover
-  EXPECT_NEAR(two_ray.rx_power_w(1.0, {0, 0}, {d, 0}),
-              free_space.rx_power_w(1.0, {0, 0}, {d, 0}), 1e-15);
+  EXPECT_NEAR(two_ray.rx_power_w(1.0, d),
+              free_space.rx_power_w(1.0, d), 1e-15);
 }
 
 TEST(TwoRayGroundTest, FourthPowerLawBeyondCrossover) {
   TwoRayGroundModel model;
-  const double p1 = model.rx_power_w(1.0, {0, 0}, {200, 0});
-  const double p2 = model.rx_power_w(1.0, {0, 0}, {400, 0});
+  const double p1 = model.rx_power_w(1.0, 200.0);
+  const double p2 = model.rx_power_w(1.0, 400.0);
   EXPECT_NEAR(p1 / p2, 16.0, 1e-9);
 }
 
@@ -67,13 +67,13 @@ TEST(TwoRayGroundTest, WaveLanThresholdsGive250mRange) {
   // exactly 250 m equals the receive threshold.
   TwoRayGroundModel model;
   WaveLanProfile profile;
-  const double at_250 = model.rx_power_w(profile.tx_power_w, {0, 0}, {250, 0});
+  const double at_250 = model.rx_power_w(profile.tx_power_w, 250.0);
   EXPECT_NEAR(at_250 / profile.rx_threshold_w, 1.0, 0.01);
   // And the carrier-sense threshold sits at ~550 m.
-  const double at_550 = model.rx_power_w(profile.tx_power_w, {0, 0}, {550, 0});
+  const double at_550 = model.rx_power_w(profile.tx_power_w, 550.0);
   EXPECT_NEAR(at_550 / profile.cs_threshold_w, 1.0, 0.02);
   // Strictly beyond range: undecodable.
-  const double at_251 = model.rx_power_w(profile.tx_power_w, {0, 0}, {251, 0});
+  const double at_251 = model.rx_power_w(profile.tx_power_w, 251.0);
   EXPECT_LT(at_251, profile.rx_threshold_w);
 }
 
@@ -87,15 +87,15 @@ TEST(ShadowingTest, ZeroSigmaIsDeterministicPathLoss) {
   ShadowingModel model(2.0, 0.0, Rng(1));
   FreeSpaceModel free_space;
   // With beta = 2 and sigma = 0 the model reduces to free space.
-  const double a = model.rx_power_w(1.0, {0, 0}, {100, 0});
-  const double b = free_space.rx_power_w(1.0, {0, 0}, {100, 0});
+  const double a = model.rx_power_w(1.0, 100.0);
+  const double b = free_space.rx_power_w(1.0, 100.0);
   EXPECT_NEAR(a / b, 1.0, 1e-6);
 }
 
 TEST(ShadowingTest, MeanPathLossFollowsExponent) {
   ShadowingModel model(3.0, 0.0, Rng(2));
-  const double p1 = model.rx_power_w(1.0, {0, 0}, {100, 0});
-  const double p2 = model.rx_power_w(1.0, {0, 0}, {1000, 0});
+  const double p1 = model.rx_power_w(1.0, 100.0);
+  const double p2 = model.rx_power_w(1.0, 1000.0);
   // 10x distance at beta = 3 -> 30 dB.
   EXPECT_NEAR(ratio_to_db(p1 / p2), 30.0, 0.01);
 }
@@ -104,7 +104,7 @@ TEST(ShadowingTest, FluctuationsHaveRequestedSigma) {
   ShadowingModel model(2.8, 6.0, Rng(3));
   analysis::RunningStats db;
   for (int i = 0; i < 5000; ++i) {
-    db.add(watt_to_dbm(model.rx_power_w(1.0, {0, 0}, {200, 0})));
+    db.add(watt_to_dbm(model.rx_power_w(1.0, 200.0)));
   }
   EXPECT_NEAR(db.stddev(), 6.0, 0.3);
 }
@@ -116,10 +116,10 @@ TEST(RayleighFadingTest, RequiresBaseModel) {
 TEST(RayleighFadingTest, UnitMeanPreservesAveragePower) {
   RayleighFadingModel model(std::make_unique<TwoRayGroundModel>(), Rng(4));
   TwoRayGroundModel base;
-  const double expected = base.rx_power_w(1.0, {0, 0}, {200, 0});
+  const double expected = base.rx_power_w(1.0, 200.0);
   analysis::RunningStats power;
   for (int i = 0; i < 20000; ++i) {
-    power.add(model.rx_power_w(1.0, {0, 0}, {200, 0}));
+    power.add(model.rx_power_w(1.0, 200.0));
   }
   EXPECT_NEAR(power.mean() / expected, 1.0, 0.05);
 }
@@ -128,11 +128,11 @@ TEST(RayleighFadingTest, DeepFadesOccur) {
   // Rayleigh fading drops below -10 dB of the mean with P = 1-e^-0.1 ~ 9.5%.
   RayleighFadingModel model(std::make_unique<TwoRayGroundModel>(), Rng(5));
   TwoRayGroundModel base;
-  const double mean_power = base.rx_power_w(1.0, {0, 0}, {200, 0});
+  const double mean_power = base.rx_power_w(1.0, 200.0);
   int deep = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    if (model.rx_power_w(1.0, {0, 0}, {200, 0}) < 0.1 * mean_power) ++deep;
+    if (model.rx_power_w(1.0, 200.0) < 0.1 * mean_power) ++deep;
   }
   EXPECT_NEAR(static_cast<double>(deep) / n, 0.095, 0.01);
 }
@@ -167,7 +167,7 @@ TEST(MaxRangeTest, BoundIsConservative) {
         model->max_range_m(profile.tx_power_w, profile.cs_threshold_w);
     ASSERT_TRUE(range.has_value());
     for (double d = *range; d < *range * 3.0; d *= 1.1) {
-      EXPECT_LT(model->rx_power_w(profile.tx_power_w, {0, 0}, {d, 0}),
+      EXPECT_LT(model->rx_power_w(profile.tx_power_w, d),
                 profile.cs_threshold_w)
           << "model still above threshold at " << d << " m (bound " << *range
           << ")";
@@ -182,7 +182,7 @@ TEST(MaxRangeTest, FreeSpaceBelowCrossoverUsesFriis) {
   TwoRayGroundModel model;
   const double d = 50.0;
   ASSERT_LT(d, model.crossover_distance_m());
-  const double power_at_d = model.rx_power_w(1.0, {0, 0}, {d, 0});
+  const double power_at_d = model.rx_power_w(1.0, d);
   const auto range = model.max_range_m(1.0, power_at_d);
   ASSERT_TRUE(range.has_value());
   EXPECT_NEAR(*range, d, d * 0.01);

@@ -98,6 +98,28 @@ TEST(SpatialGridTest, NegativeCoordinatesBucketCorrectly) {
       << "point 400 m away returned for a 20 m query with 100 m cells";
 }
 
+TEST(SpatialGridTest, ExtremeCoordinatesClampIntoEdgeCells) {
+  // Cell coordinates beyond the 32-bit key range clamp to the edge cells
+  // instead of reaching an out-of-range cast: far-off points share a
+  // cell, and queries stay a superset at any coordinate.
+  const std::vector<Vec2> positions = {
+      {1e300, 0.0}, {2e300, 0.0}, {-1e300, 5.0}, {0.0, 1e300}, {0.0, 0.0}};
+  SpatialGrid grid;
+  grid.rebuild_members(positions, all_members(positions.size()), 550.0);
+  std::vector<std::uint32_t> out;
+  grid.query({1e300, 0.0}, 10.0, out);
+  EXPECT_EQ(out, (std::vector<std::uint32_t>{0, 1}));
+  out.clear();
+  grid.query({-1e300, 0.0}, 10.0, out);
+  EXPECT_EQ(out, (std::vector<std::uint32_t>{2}));
+  out.clear();
+  grid.query({0.0, 0.0}, 10.0, out);
+  EXPECT_EQ(out, (std::vector<std::uint32_t>{4}));
+  out.clear();
+  grid.query({0.0, 0.0}, 1e301, out);  // a box wider than the key range
+  EXPECT_EQ(out, all_members(positions.size()));
+}
+
 TEST(SpatialGridTest, RebuildReplacesPreviousContents) {
   std::vector<Vec2> positions = {{0, 0}, {50, 0}};
   SpatialGrid grid;

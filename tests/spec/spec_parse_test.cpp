@@ -84,7 +84,7 @@ TEST(SpecParseTest, PhyIndexKeyIsRejectedAsUnknown) {
 
 TEST(SpecParseTest, EngineParallelParsesAndDefaults) {
   // shards and threads stay accepted so existing specs remain valid; the
-  // channel derives its own strip count, so shards is read and dropped.
+  // channel has no partition to set, so shards is read and dropped.
   const CampaignSpec plain = parse_campaign(
       R"({"name": "t", "kind": "campaign", "scenario": {}})", "test.json");
   EXPECT_EQ(plain.scenario.config.parallel.threads, 1);
@@ -191,6 +191,18 @@ TEST(SpecParseTest, RangeAndTypeErrorsNameTheSpecPath) {
   EXPECT_NE(error_of(R"({"name": "t", "kind": "campaign",
                          "scenario": {"traffic": {"sender": true}}})")
                 .find("$.scenario.traffic.sender"),
+            std::string::npos);
+  // At 1e300 m the ring's extent rounds away; translations are bounded to
+  // ±1e9 m, where a double still resolves positions below 1 µm.
+  EXPECT_NE(error_of(R"({"name": "t", "kind": "campaign",
+                         "scenario": {"mobility": {"transform":
+                             {"translate_x": 1e300}}}})")
+                .find("$.scenario.mobility.transform.translate_x"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"name": "t", "kind": "campaign",
+                         "scenario": {"mobility": {"transform":
+                             {"translate_y": -1.5e9}}}})")
+                .find("$.scenario.mobility.transform.translate_y"),
             std::string::npos);
 }
 

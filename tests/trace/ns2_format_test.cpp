@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -85,13 +86,40 @@ TEST(Ns2FormatTest, MergesTeleportAxisPairs) {
 }
 
 TEST(Ns2FormatTest, ThrowsOnGarbageWithLineNumber) {
-  std::istringstream in("$node_(0) set X_ 1\nthis is not ns-2\n");
-  try {
-    read_ns2(in);
-    FAIL() << "expected parse error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  // Line 2 of each input is bad: not ns-2 at all, a node id no vector
+  // can be indexed by (4294967295 wrapped max_node + 1 to 0; 3e9 would
+  // size the node table at ~48 GB; -1 reads as the largest unsigned), or
+  // a non-finite time, coordinate or speed.
+  const std::string bad_lines[] = {
+      "this is not ns-2",
+      "$node_(4294967295) set X_ 5",
+      "$node_(3000000000) set Y_ 5",
+      "$node_(1000000) set X_ 5",
+      "$node_(-1) set X_ 5",
+      "$ns_ at 1 \"$node_(4294967295) setdest 1 2 3\"",
+      "$ns_ at 1 \"$node_(3000000000) set X_ 1\"",
+      "$node_(0) set X_ nan",
+      "$node_(0) set Y_ inf",
+      "$node_(0) set Z_ -inf",
+      "$ns_ at nan \"$node_(0) setdest 1 2 3\"",
+      "$ns_ at 1 \"$node_(0) setdest 1 nan 3\"",
+      "$ns_ at 1 \"$node_(0) setdest 1 2 inf\"",
+      "$ns_ at inf \"$node_(0) set X_ 1\"",
+      "$ns_ at 1 \"$node_(0) set Y_ nan\"",
+  };
+  for (const std::string& bad : bad_lines) {
+    std::istringstream in("$node_(0) set X_ 1\n" + bad + "\n");
+    try {
+      read_ns2(in);
+      ADD_FAILURE() << "expected a parse error for: " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
   }
+  // The largest accepted id still parses.
+  std::istringstream in("$node_(999999) set X_ 1\n");
+  EXPECT_EQ(read_ns2(in).node_count(), 1'000'000u);
 }
 
 TEST(Ns2FormatTest, EmptyInputGivesEmptyTrace) {

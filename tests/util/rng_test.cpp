@@ -187,6 +187,77 @@ TEST(RngTest, JumpDecorrelatesStream) {
   EXPECT_LT(same, 2);
 }
 
+using State = std::array<std::uint64_t, 4>;
+
+std::uint64_t rotl(std::uint64_t x, int k) {
+  return (x << k) | (x >> (64 - k));
+}
+
+/// One xoshiro256** 1.0 draw on a raw state.
+std::uint64_t reference_next(State& s) {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
+/// The long jump by its definition: 256 generator steps, accumulating the
+/// state at each set bit of the jump polynomial. Rng::jump() serves the
+/// same map from a table.
+State bitwise_jump(State s) {
+  static constexpr std::uint64_t kJump[] = {
+      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
+      0x39abdc4529b1661cULL};
+  State acc{};
+  for (const std::uint64_t word : kJump) {
+    for (int bit = 0; bit < 64; ++bit) {
+      if (word & (1ULL << bit)) {
+        for (std::size_t i = 0; i < 4; ++i) acc[i] ^= s[i];
+      }
+      reference_next(s);
+    }
+  }
+  return acc;
+}
+
+TEST(RngTest, JumpMatchesBitwiseReference) {
+  std::size_t mismatches = 0;
+  const auto check = [&](const State& s) {
+    if (Rng::jump_state(s) != bitwise_jump(s)) ++mismatches;
+  };
+  check(State{});
+  for (int bit = 0; bit < 256; ++bit) {
+    State s{};
+    s[bit / 64] = 1ULL << (bit % 64);
+    check(s);
+  }
+  Rng states(20261020);
+  for (int i = 0; i < 100'000; ++i) {
+    check({states.next_u64(), states.next_u64(), states.next_u64(),
+           states.next_u64()});
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  // jump() on seeded streams: Rng(seed) starts from four SplitMix64 words,
+  // so after a jump it must draw what the jumped reference state draws.
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    SplitMix64 sm(seed);
+    State s{};
+    for (auto& word : s) word = sm.next();
+    State jumped = bitwise_jump(s);
+    Rng rng(seed);
+    rng.jump();
+    for (int draw = 0; draw < 4; ++draw) {
+      EXPECT_EQ(rng.next_u64(), reference_next(jumped)) << "seed " << seed;
+    }
+  }
+}
+
 TEST(RngTest, SatisfiesUniformRandomBitGenerator) {
   static_assert(std::uniform_random_bit_generator<Rng>);
   SUCCEED();
